@@ -7,7 +7,8 @@ and chunk size), and prints a one-line summary to stderr.  Hypothesis
 violations exit nonzero with a machine-readable error JSON on stdout.
 
 The environment variable ``RUINLAB_SEED`` overrides the config seed; the
-``--seed`` flag overrides both.
+``--seed`` flag overrides both.  ``validate`` takes no seed: each acceptance
+criterion runs at its own fixed seed.
 """
 
 from __future__ import annotations
@@ -285,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run an acceptance suite")
     p.add_argument("--suite", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
     p.set_defaults(fn=cmd_validate)
     return ap

@@ -217,44 +217,51 @@ class Distribution:
 
     # -- transforms and moments --------------------------------------------
 
-    def mgf(self, q: float) -> float:
-        """E exp(qV), exactly; ``math.inf`` beyond the finite domain."""
+    def mgf(self, q: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """E exp(qV), exactly; ``math.inf`` beyond the finite domain.
+
+        Elementwise over an array ``q``; a float argument gives a float.
+        """
         k, p = self.kind, self.params
-        if q == 0.0:
-            return 1.0
-        if k == "exponential":
-            rate = p[0]
-            return rate / (rate - q) if q < rate else math.inf
-        if k == "gamma":
-            shape, scale = p
-            return (1.0 - q * scale) ** (-shape) if q < 1.0 / scale else math.inf
-        if k == "deterministic":
-            x = q * p[0]
-            return math.exp(x) if x < 709.0 else math.inf
-        if k == "uniform":
-            lo, hi = p
-            if abs(q) * max(abs(lo), abs(hi)) < 1e-8:
-                return 1.0 + q * (lo + hi) / 2.0 + q * q * (hi * hi + hi * lo + lo * lo) / 6.0
-            return (math.exp(q * hi) - math.exp(q * lo)) / (q * (hi - lo))
-        if k == "discrete":
-            values, probs = p
-            total = 0.0
-            for v, w in zip(values, probs):
-                x = q * v
-                if x > 709.0:
-                    return math.inf
-                total += w * math.exp(x)
-            return total
-        if k == "lognormal":
-            if q > 0:
-                return math.inf  # diverges for every positive argument
-            val, _ = self._quad_expectation(q)
-            return val
-        # pareto: heavy tail, no positive exponential moments
-        if q > 0:
-            return math.inf
-        val, _ = self._quad_expectation(q)
-        return val
+        qa = np.asarray(q, dtype=float)
+        x = qa.reshape(-1)  # 1-d, so a float also takes the in-place steps
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if k == "exponential":
+                rate = p[0]
+                out = rate - x
+                np.divide(rate, out, out=out)  # in place: blocks reach 2M atoms
+                out[~(x < rate)] = math.inf
+            elif k == "gamma":
+                shape, scale = p
+                out = (1.0 - x * scale) ** (-shape)
+                out[~(x < 1.0 / scale)] = math.inf
+            elif k == "deterministic":
+                arg = x * p[0]
+                out = np.exp(arg)
+                out[~(arg < 709.0)] = math.inf
+            elif k == "uniform":
+                lo, hi = p
+                series = (1.0 + x * (lo + hi) / 2.0
+                          + x * x * (hi * hi + hi * lo + lo * lo) / 6.0)
+                # e^m (1 - e^-d) / d with m the larger exponent: no cancellation
+                d = np.abs(x) * (hi - lo)
+                exact = np.exp(np.maximum(x * lo, x * hi)) * -np.expm1(-d) / d
+                out = np.where(np.abs(x) * max(abs(lo), abs(hi)) < 1e-8,
+                               series, exact)
+            elif k == "discrete":
+                out, over = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
+                for v, w in zip(*p):
+                    arg = x * v
+                    over |= arg > 709.0
+                    out += w * np.exp(arg)
+                out[over] = math.inf
+            else:
+                # lognormal and pareto: no positive exponential moments
+                out = np.full(x.shape, math.inf)
+                for i in np.flatnonzero(x < 0):
+                    out[i], _ = self._quad_expectation(float(x[i]))
+        out[x == 0.0] = 1.0
+        return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
 
     def mgf_endpoint(self) -> MgfEndpoint:
         """q_V and the MGF value there (finite or ``inf``)."""

@@ -56,7 +56,9 @@ def u_vector(q: float) -> Tuple[float, float]:
 
 
 def _inner(q: float, x, y):
-    return -q * np.asarray(x) + q * (q + 1.0) * np.asarray(y)
+    out = -q * np.asarray(x)
+    out += q * (q + 1.0) * np.asarray(y)
+    return out
 
 
 # -- gap-variable law ----------------------------------------------------------
@@ -157,18 +159,16 @@ def _json_float(x):
 
 # -- tangent parameter ---------------------------------------------------------
 
-def _touch_value(x: float, y: float, q_tau: float) -> float:
+def _touch_values(x: np.ndarray, y: np.ndarray, q_tau: float) -> np.ndarray:
     """Smallest q > 0 with <u(q), (x, y)> = q_tau, or inf if none exists.
 
     For y > 0 this is the positive root of q(q+1) y - q x = q_tau; on the
     y = 0 boundary the functional is -q x, so only x < 0 can ever touch.
     """
-    if y > 0.0:
-        disc = (x - y) ** 2 + 4.0 * y * q_tau
-        return ((x - y) + math.sqrt(disc)) / (2.0 * y)
-    if x < 0.0:
-        return -q_tau / x
-    return math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = ((x - y) + np.sqrt((x - y) ** 2 + 4.0 * y * q_tau)) / (2.0 * y)
+        edge = np.where(x < 0.0, -q_tau / x, math.inf)
+    return np.where(y > 0.0, root, edge)
 
 
 def q_plus_compute(theta: ThetaLaw, q_tau: float) -> TangentGeometry:
@@ -185,17 +185,16 @@ def q_plus_compute(theta: ThetaLaw, q_tau: float) -> TangentGeometry:
             "tangent geometry needs a finite positive MGF endpoint for the "
             "inter-arrival law")
     pts = theta.candidate_points()
-    if any(y < -1e-15 for _, y in pts):
+    x, y = pts[:, 0], pts[:, 1]
+    if np.any(y < -1e-15):
         raise DistributionError("sigma^2/2 must be nonnegative")
-    touches = np.array([_touch_value(x, y, q_tau) for x, y in pts])
-    q_plus = float(np.min(touches))
+    q_plus = float(np.min(_touch_values(x, y, q_tau)))
     if not math.isfinite(q_plus) or q_plus <= 0:
         raise DistributionError(
             "support admits no tangent ray; check boundedness to the left "
             "and above")
-    vals = _inner(q_plus, [p[0] for p in pts], [p[1] for p in pts])
-    on_line = np.abs(vals - q_tau) <= _TOUCH_TOL * max(1.0, q_tau)
-    touching = tuple(dict.fromkeys(p for p, hit in zip(pts, on_line) if hit))
+    on_line = np.abs(_inner(q_plus, x, y) - q_tau) <= _TOUCH_TOL * max(1.0, q_tau)
+    touching = tuple(dict.fromkeys(map(tuple, pts[on_line].tolist())))
     h_law = _build_h_law(theta, q_plus, q_tau)
     return TangentGeometry(q_plus=q_plus, q_tau=q_tau,
                            touching_points=touching, h_law=h_law)
@@ -233,13 +232,12 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
     endpoint = tau_dist.mgf_endpoint()
     q_tau = endpoint.q_max
     if theta.kind == "finite":
-        total = 0.0
-        for (x, y), w in theta.atoms:
-            term = tau_dist.mgf(float(_inner(q, x, y)))
-            if math.isinf(term):
-                return math.inf
-            total += w * term
-        return total
+        pts = theta.candidate_points()
+        terms = tau_dist.mgf(_inner(q, pts[:, 0], pts[:, 1]))
+        if np.isinf(terms).any():
+            return math.inf
+        probs = np.array([w for _, w in theta.atoms])
+        return sum((probs * terms).tolist(), 0.0)
     if theta.kind == "countable":
         return _phi_nu_countable(theta, tau_dist, q, q_tau)
     if theta.kind == "polytope_uniform":
@@ -249,7 +247,7 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
 
 def _support_sup(theta: ThetaLaw, q: float) -> float:
     pts = theta.candidate_points()
-    return float(np.max(_inner(q, [p[0] for p in pts], [p[1] for p in pts])))
+    return float(np.max(_inner(q, pts[:, 0], pts[:, 1])))
 
 
 def _phi_nu_countable(theta, tau_dist, q, q_tau):
@@ -274,7 +272,7 @@ def _phi_nu_countable(theta, tau_dist, q, q_tau):
         w = theta.prob_fn(j)
         mu, hs = theta.point_fn(j)
         vals = _inner(q, mu, hs)
-        terms = np.array([tau_dist.mgf(float(v)) for v in vals])
+        terms = tau_dist.mgf(vals)
         total += float(np.sum(w * terms))
         covered += float(np.sum(w))
         tail = max(0.0, 1.0 - covered)
@@ -290,8 +288,8 @@ def _phi_nu_countable(theta, tau_dist, q, q_tau):
 def _limit_value(theta, tau_dist, q):
     if not theta.limit_points:
         return 0.0
-    vals = [tau_dist.mgf(float(_inner(q, x, y))) for x, y in theta.limit_points]
-    return max(vals)
+    pts = np.array(theta.limit_points)
+    return float(np.max(tau_dist.mgf(_inner(q, pts[:, 0], pts[:, 1]))))
 
 
 def _phi_nu_polytope(theta, tau_dist, q, q_tau):
@@ -411,14 +409,12 @@ def _series_blocks(h_law: HLaw, tau_dist, q_tau, delta, n_shells=15):
         zero_mass += float(np.sum(w[h <= _TOUCH_TOL]))
         big = h > delta
         if big.any():
-            head += float(sum(wj * tau_dist.mgf(q_tau - hj)
-                              for hj, wj in zip(h[big], w[big])))
+            head += sum((w[big] * tau_dist.mgf(q_tau - h[big])).tolist(), 0.0)
         mid = (~big) & (h > _TOUCH_TOL)
         if mid.any():
             k = np.floor(np.log2(delta / h[mid])).astype(int)
             k = np.clip(k, 0, n_shells - 1)
-            terms = w[mid] * np.array([tau_dist.mgf(q_tau - hj) for hj in h[mid]])
-            np.add.at(shells, k, terms)
+            np.add.at(shells, k, w[mid] * tau_dist.mgf(q_tau - h[mid]))
         if float(h[-1]) < lo_edge and h[0] >= h[-1]:
             break
         j0 += block
@@ -492,13 +488,11 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     h_law = geometry.h_law
 
     if h_law.kind == "discrete":
-        total = 0.0
-        for h, w in h_law.atoms:
-            if h > delta:
-                continue
-            if h <= _TOUCH_TOL:
-                return EndpointVerdict("endpoint_infinite", math.inf)
-            total += w * tau_dist.mgf(q_tau - h)
+        h, w = np.array(h_law.atoms).T
+        near = h <= delta
+        if np.any(h[near] <= _TOUCH_TOL):
+            return EndpointVerdict("endpoint_infinite", math.inf)
+        total = sum((w[near] * tau_dist.mgf(q_tau - h[near])).tolist(), 0.0)
         return EndpointVerdict("endpoint_finite", total)
 
     if h_law.kind == "series":
@@ -516,32 +510,28 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     if np.min(h) < -1e-9:
         raise EstimationError("gap variable sampled negative; geometry is off")
     levels = delta * 0.5 ** np.arange(7)
+
+    def gap_mean() -> float:
+        near = (h > 0) & (h <= delta)
+        return float(np.mean(np.where(near, tau_dist.mgf(q_tau - h), 0.0)))
+
     counts = np.array([(h <= lv).sum() for lv in levels], dtype=float)
     kappa = _integrand_growth_rate(tau_dist, q_tau, delta)
     if counts[-1] < 30:
         if counts[0] == 0:
             return EndpointVerdict("endpoint_finite", 0.0, heuristic=True)
         # too little mass near zero to fit; call it finite but flag it
-        value = float(np.mean(np.where((h > 0) & (h <= delta),
-                                       _phi_gap(tau_dist, q_tau, h), 0.0)))
-        return EndpointVerdict("endpoint_finite", value,
+        return EndpointVerdict("endpoint_finite", gap_mean(),
                                inconclusive=True, heuristic=True)
     good = counts >= 30
     rho, _ = np.polyfit(np.log(levels[good]), np.log(counts[good] / n_samples), 1)
     if rho <= kappa - _POWER_FIT_MARGIN:
         return EndpointVerdict("endpoint_infinite", math.inf, heuristic=True)
     if rho >= kappa + _POWER_FIT_MARGIN:
-        value = float(np.mean(np.where((h > 0) & (h <= delta),
-                                       _phi_gap(tau_dist, q_tau, h), 0.0)))
-        return EndpointVerdict("endpoint_finite", value, heuristic=True)
+        return EndpointVerdict("endpoint_finite", gap_mean(), heuristic=True)
     # boundary band: the pure power boundary diverges; flag it
     return EndpointVerdict("endpoint_infinite", math.inf,
                            inconclusive=True, heuristic=True)
-
-
-def _phi_gap(tau_dist, q_tau, h):
-    return np.array([tau_dist.mgf(q_tau - float(v)) if v > 0 else 0.0
-                     for v in np.atleast_1d(h)])
 
 
 def _integrand_growth_rate(tau_dist, q_tau, delta) -> float:
@@ -551,7 +541,7 @@ def _integrand_growth_rate(tau_dist, q_tau, delta) -> float:
     if tau_dist.kind == "gamma":
         return tau_dist.params[0]
     hs = delta * 0.5 ** np.arange(2, 9)
-    vals = np.array([tau_dist.mgf(q_tau - float(h)) for h in hs])
+    vals = tau_dist.mgf(q_tau - hs)
     slope, _ = np.polyfit(np.log(hs), np.log(vals), 1)
     return float(-slope)
 
@@ -562,12 +552,10 @@ def endpoint_phi_value(theta: ThetaLaw, tau_dist: Distribution,
     q_tau = geometry.q_tau
     h_law = geometry.h_law
     if h_law.kind == "discrete":
-        total = 0.0
-        for h, w in h_law.atoms:
-            if h <= _TOUCH_TOL:
-                return math.inf
-            total += w * tau_dist.mgf(q_tau - h)
-        return total
+        h, w = np.array(h_law.atoms).T
+        if np.any(h <= _TOUCH_TOL):
+            return math.inf
+        return sum((w * tau_dist.mgf(q_tau - h)).tolist(), 0.0)
     if h_law.kind == "series":
         return _endpoint_series_value(theta, tau_dist, geometry.q_plus, q_tau)
     if theta.kind == "polytope_uniform":
@@ -749,7 +737,7 @@ def lundberg_report(config: ModelConfig, tol: float = 1e-10,
     existence, and bisection finds the root to ``tol``.  Anything else is
     probed by Monte Carlo on a cached sample of nu draws.
     """
-    config.require_positive_drift()
+    ek = config.require_positive_drift()
     analytic = (config.has_investment and config.regime.mode == "constant"
                 and method in ("auto", "analytic"))
     claim = config.claim_dist
@@ -769,14 +757,14 @@ def lundberg_report(config: ModelConfig, tol: float = 1e-10,
                 report = LundbergReport(
                     beta=None, q_nu=q_nu, phi_at_endpoint=phi_end,
                     method="analytic", ci_halfwidth=None,
-                    hypothesis_flags=_flags(config, None), status="no_root")
+                    hypothesis_flags=_flags(config, ek, None), status="no_root")
                 return report
         else:
             q_nu = math.inf
         report = solve_beta(partial(phi_nu_analytic, theta, tau_dist),
                             q_upper_hint=q_nu, tol=tol, q_nu=q_nu,
                             phi_at_endpoint=phi_end, method="analytic")
-        return replace(report, hypothesis_flags=_flags(config, report.beta))
+        return replace(report, hypothesis_flags=_flags(config, ek, report.beta))
 
     nu = sample_nu(config, mc_samples, seed)
     cache: dict = {}
@@ -795,11 +783,12 @@ def lundberg_report(config: ModelConfig, tol: float = 1e-10,
     flagged = [q for q, v in cache.items() if v.stability_flag]
     q_nu_soft = min(flagged) if flagged else math.inf
     return replace(report, q_nu=q_nu_soft,
-                   hypothesis_flags=_flags(config, report.beta))
+                   hypothesis_flags=_flags(config, ek, report.beta))
 
 
-def _flags(config: ModelConfig, beta: Optional[float]) -> dict:
-    flags = {"ek_positive": bool(config.ek_positive)}
+def _flags(config: ModelConfig, ek: Optional[float],
+           beta: Optional[float]) -> dict:
+    flags = {"ek_positive": ek is not None and ek > 0.0}
     if beta is None:
         flags["claim_moment_ok"] = None
         flags["cond_tau_ok"] = None

@@ -248,14 +248,18 @@ class ModelConfig:
             return None
         return self.expected_log_drift() > 0.0
 
-    def require_positive_drift(self):
-        if self.regime is not None and not self.ek_positive:
+    def require_positive_drift(self) -> Optional[float]:
+        """E K, after checking it is positive; None without investment."""
+        if self.regime is None:
+            return None
+        ek = self.expected_log_drift()
+        if not ek > 0.0:
             raise HypothesisViolation(
                 "mean_drift_positive",
                 "mean log-return drift E(mu - sigma^2/2) * E tau = "
-                f"{self.expected_log_drift():.6g} is not positive; the decay "
-                "exponent does not exist and ruin is certain in the "
-                "constant-coefficient case")
+                f"{ek:.6g} is not positive; the decay exponent does not "
+                "exist and ruin is certain in the constant-coefficient case")
+        return ek
 
     def scaled(self, k: float) -> "ModelConfig":
         """Monetary rescaling: claims and premium by k; time and regime kept."""

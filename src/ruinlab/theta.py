@@ -136,32 +136,27 @@ class ThetaLaw:
         return self.kind == "finite" and len(self.atoms) == 1
 
     def support_box(self) -> Tuple[float, float, float, float]:
-        """(mu_min, mu_max, hs_min, hs_max); entries may be infinite."""
+        """(mu_min, mu_max, hs_min, hs_max) of the candidate points."""
         pts = self.candidate_points(j_probe=200_000)
-        if self.kind == "product":
-            a, b = self.dist_mu.support()
-            c, d = self.dist_halfsig2.support()
-            return a, b, c, d
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        return min(xs), max(xs), min(ys), max(ys)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
-    def candidate_points(self, j_probe: int = 100_000) -> Tuple[Point, ...]:
-        """Points whose touch values determine the tangent parameter.
+    def candidate_points(self, j_probe: int = 100_000) -> np.ndarray:
+        """Points whose touch values determine the tangent parameter, as a
+        (k, 2) array of (mu, sigma^2/2) rows.
 
         The scanned linear functionals are linear in theta, so for polytopes
         and product boxes the extreme values sit at vertices/corners; for
-        countable supports the declared limit points join the atom list.
+        countable supports the declared limit points follow the atom rows.
         """
         if self.kind == "finite":
-            return tuple(p for p, _ in self.atoms)
+            return np.array([p for p, _ in self.atoms], dtype=float)
         if self.kind == "polytope_uniform":
-            return tuple(map(tuple, self.vertices))
+            return np.array(self.vertices, dtype=float)
         if self.kind == "countable":
             j = np.arange(1.0, float(j_probe) + 1.0)
-            mu_j, hs_j = self.point_fn(j)
-            pts = list(zip(mu_j.tolist(), hs_j.tolist()))
-            return tuple(pts) + self.limit_points
+            limits = np.array(self.limit_points, dtype=float).reshape(-1, 2)
+            return np.vstack([np.column_stack(self.point_fn(j)), limits])
         a, b = self.dist_mu.support()
         c, d = self.dist_halfsig2.support()
         if not (math.isfinite(b) and math.isfinite(d)):
@@ -170,17 +165,20 @@ class ThetaLaw:
                 "tangent geometry")
         if not math.isfinite(a):
             raise DistributionError("mu marginal must be bounded below")
-        return ((a, c), (a, d), (b, c), (b, d))
+        return np.array([(a, c), (a, d), (b, c), (b, d)], dtype=float)
 
 
 # -- zeta-weighted worked family ----------------------------------------------
 
 def _zeta_points(j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return 1.0 / j, 1.0 - 1.0 / j
+    mu = 1.0 / j
+    return mu, 1.0 - mu
 
 
 def _zeta_probs(p: float, j: np.ndarray) -> np.ndarray:
-    return j ** (-p) / _hurwitz_zeta(p, 1)
+    w = j ** (-p)
+    w /= _hurwitz_zeta(p, 1)
+    return w
 
 
 def _zeta_sampler(p: float, rng: np.random.Generator, n: int) -> np.ndarray:

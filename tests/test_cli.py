@@ -145,3 +145,11 @@ def test_perpetuity_command(tmp_path, capsys):
     assert doc["c_hat"] > 0
     assert doc["ks"] <= 0.05
     assert -2.6 <= doc["tail_slope"] <= -1.0
+
+
+def test_validate_rejects_seed(capsys):
+    # every acceptance criterion runs at its own fixed seed
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--seed", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -8,9 +8,32 @@ from ruinlab import (Distribution, HypothesisViolation, ModelConfig,
                      PremiumSpec, RegimeSpec, ThetaLaw, lundberg_report,
                      phi_nu_analytic, phi_nu_mc, q_plus_compute, sample_nu,
                      solve_beta, classify_endpoint, u_vector, zeta_regime_law)
+from ruinlab.lundberg import _touch_values
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EXP1 = Distribution.exponential(1.0)
+
+
+def _touch_value(x: float, y: float, q_tau: float) -> float:
+    """Scalar oracle: smallest q > 0 with <u(q), (x, y)> = q_tau, or inf.
+
+    For y > 0 this is the positive root of q(q+1) y - q x = q_tau; on the
+    y = 0 boundary the functional is -q x, so only x < 0 can ever touch.
+    """
+    if y > 0.0:
+        disc = (x - y) ** 2 + 4.0 * y * q_tau
+        return ((x - y) + math.sqrt(disc)) / (2.0 * y)
+    if x < 0.0:
+        return -q_tau / x
+    return math.inf
+
+
+def zeta_cfg(p):
+    return ModelConfig(
+        claim_dist=EXP1, interarrival_dist=EXP1,
+        premium=PremiumSpec.zero(),
+        regime=RegimeSpec.constant(zeta_regime_law(p)),
+        mu_lower=0.0, sigma_upper=math.sqrt(2.0), c_bar=0.0)
 
 
 def constant_cfg(mu, hs, tau=None, premium=None, c_bar=0.1, sigma_upper=None):
@@ -113,6 +136,92 @@ class TestQPlus:
             [(0, 0), (1, 0), (0, 1), (1, 1)]), 1.0)
         h = geom.h_law.sample(rng, 1_000_000)
         assert float(h.min()) >= 0.0
+
+
+class TestTouchOracle:
+    """Array touch values and first touch against the scalar oracle."""
+
+    @staticmethod
+    def check(law, q_tau):
+        pts = law.candidate_points()
+        want = [_touch_value(x, y, q_tau) for x, y in pts.tolist()]
+        got = _touch_values(pts[:, 0], pts[:, 1], q_tau)
+        # numpy squares exactly; the oracle's x ** 2 goes through libm pow
+        assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        q_plus = min(want)
+        geom = q_plus_compute(law, q_tau)
+        assert geom.q_plus == pytest.approx(q_plus, rel=1e-15, abs=0.0)
+        on_line = [abs(-q_plus * x + q_plus * (q_plus + 1.0) * y - q_tau)
+                   <= 1e-12 * max(1.0, q_tau) for x, y in pts.tolist()]
+        touching = tuple(dict.fromkeys(
+            tuple(p) for p, hit in zip(pts.tolist(), on_line) if hit))
+        assert geom.touching_points == touching
+        assert all(type(c) is float for p in touching for c in p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_finite_theta(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 60
+        x = rng.uniform(-1.5, 2.0, n)
+        y = rng.uniform(0.0, 2.0, n)
+        # boundary rows y = 0: x < 0 touches at -q_tau / x, x >= 0 never does
+        y[:8] = 0.0
+        x[:4] = -rng.uniform(0.2, 3.0, 4)
+        x[4:8] = [0.0, 0.5, 1.0, 2.0]
+        law = ThetaLaw.finite([((a, b), 1.0 / n) for a, b in zip(x, y)])
+        self.check(law, float(rng.uniform(0.2, 3.0)))
+
+    def test_boundary_row_sets_first_touch(self):
+        law = ThetaLaw.finite([((-4.0, 0.0), 0.25), ((0.0, 0.0), 0.25),
+                               ((3.0, 0.0), 0.25), ((0.0, 1.0), 0.25)])
+        self.check(law, 1.0)
+        assert q_plus_compute(law, 1.0).touching_points == ((-4.0, 0.0),)
+
+    def test_touching_points_deduplicated_in_first_appearance_order(self):
+        # (1, 1 + g) and (0, 1) both lie on -g x + y = 1, the ray at q = g
+        far = (1.0, 1.0 + GOLDEN)
+        law = ThetaLaw.finite([(far, 0.25), ((0.5, 0.2), 0.25),
+                               ((0.0, 1.0), 0.25), (far, 0.25)])
+        self.check(law, 1.0)
+        assert q_plus_compute(law, 1.0).touching_points == (far, (0.0, 1.0))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_zeta_family(self, p):
+        self.check(zeta_regime_law(p), 1.0)
+
+
+class TestZetaPinned:
+    """zeta p = 2..5 keep the exact floats of the per-atom implementation."""
+
+    PHI_END = {2: math.inf, 3: 0.8457410478983489, 4: 0.6864049476509566,
+               5: 0.6450907904906958}
+    INTEGRAL = {2: math.inf, 3: 0.14592981024339102,
+                4: 0.02285235753185329, 5: 0.004456803218611275}
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_report_and_endpoint(self, p):
+        rep = lundberg_report(zeta_cfg(p), tol=1e-10)
+        assert rep.beta == (0.40880989280000013 if p == 2 else None)
+        assert rep.phi_at_endpoint == self.PHI_END[p]
+        assert rep.q_nu == 0.6180339887498949
+        geom = q_plus_compute(zeta_regime_law(p), 1.0)
+        assert geom.q_plus == 0.6180339887498949
+        assert geom.touching_points == ((0.0, 1.0),)
+        verdict = classify_endpoint(geom, EXP1, delta=0.5)
+        assert verdict.integral_value == self.INTEGRAL[p]
+
+    # phi_nu at q = 0.1, 0.3, 0.5: the block sums of the countable series
+    PHI = {2: (0.9634586688430513, 0.9526672381787574, 1.1104801727203677),
+           3: (0.9287213416638186, 0.8307239448382325, 0.7908227286469136),
+           4: (0.9172611981331318, 0.793950522838784, 0.712839486826128),
+           5: (0.9127474718208073, 0.7800963640273011, 0.6862137075025093)}
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_phi_nu_series(self, p):
+        got = tuple(phi_nu_analytic(zeta_regime_law(p), EXP1, q)
+                    for q in (0.1, 0.3, 0.5))
+        assert got == self.PHI[p]
 
 
 class TestTheorem2:

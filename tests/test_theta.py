@@ -71,4 +71,5 @@ def test_zeta_family_needs_p_at_least_2():
 def test_countable_candidate_points_include_limit():
     law = zeta_regime_law(3)
     pts = law.candidate_points(j_probe=100)
-    assert (0.0, 1.0) in pts
+    assert pts.shape == (101, 2)
+    assert np.all(pts == (0.0, 1.0), axis=1).any()
