@@ -107,7 +107,8 @@ def cmd_lundberg(args) -> int:
     if cfg.has_investment and cfg.regime.mode == "constant":
         endpoint = cfg.interarrival_dist.mgf_endpoint()
         if math.isfinite(endpoint.q_max):
-            geom = q_plus_compute(cfg.regime.theta, endpoint.q_max)
+            geom = report.geometry or q_plus_compute(cfg.regime.theta,
+                                                     endpoint.q_max)
             doc["q_plus"] = geom.q_plus
             doc["touching_points"] = [list(p) for p in geom.touching_points]
             verdict = classify_endpoint(geom, cfg.interarrival_dist,

@@ -50,7 +50,6 @@ class EmbeddedStep:
     tau: float
     premium_integral: float
     exp_integral: float
-    coarse_grid: bool = False
 
 
 @dataclass
@@ -96,7 +95,7 @@ def embedded_step(regime: RegimeDraw, claim: float, premium: PremiumSpec,
     return EmbeddedStep(lam=lam, zeta=premium_integral - claim, nu=nu,
                         k_total=k_total, z_total=z_total, tau=regime.tau,
                         premium_integral=premium_integral,
-                        exp_integral=exp_integral, coarse_grid=regime.coarse)
+                        exp_integral=exp_integral)
 
 
 def classical_step(config: ModelConfig, claim: float, tau: float,

@@ -11,6 +11,12 @@ In constant-coefficient mode the interval aggregate uses the exact closed
 forms K = (mu - sigma^2/2) tau and Z ~ Normal(0, sigma^2 tau); a Brownian
 bridge over a small node grid is used only for the growth integral that
 feeds the premium (and the premium-capped increment bound).
+
+Bridge rows go through cache-sized blocks, in place.  Blocks draw normals
+in row order and round every element as one full-width pass does; block
+sizes are multiples of four and the last is never one row, since BLAS rounds
+a trapezoid row by its place among groups of four.  Blocks stay below
+OpenBLAS's threading threshold, so bits never depend on its thread count.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ __all__ = ["StepKernel", "StepBlock", "run_chunked", "wilson_halfwidth",
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 DEFAULT_PREMIUM_NODES = 8
-_COMPACT_THRESHOLD = 0.7
+_BLOCK_FLOATS = 1 << 14           # float64s per bridge scratch array
 
 
 @dataclass
@@ -63,6 +69,9 @@ class StepKernel:
         if self.m < 2:
             raise ValueError("premium_nodes must be >= 2")
         self._fractions = np.arange(self.m + 1) / self.m
+        self._one_minus_f = 1.0 - self._fractions
+        self._weights = np.r_[0.5, np.ones(self.m - 1), 0.5]
+        self._rows = max(8, _BLOCK_FLOATS // (self.m + 1) & ~3)
         self.investment = config.has_investment
         if self.investment:
             theta = config.regime.theta
@@ -72,9 +81,6 @@ class StepKernel:
             self._theta = theta
         prem = config.premium
         self._premium_mode = prem.mode if not prem.is_zero else "zero"
-
-    def needs_bridge(self, need_exp_integral: bool) -> bool:
-        return self.investment and (self._premium_mode != "zero" or need_exp_integral)
 
     def sample(self, streams: RngStreams, n: int,
                t_start: Optional[np.ndarray] = None,
@@ -128,33 +134,44 @@ class StepKernel:
         from free increments re-pinned so the terminal value matches the
         exact draw z / sigma; v_k = K(s_k) + Z(s_k) then feeds a trapezoid.
         """
-        m = self.m
-        f = self._fractions
-        cell_sd = np.sqrt(tau / m)
-        incr = streams.brownian.standard_normal((n, m)) * cell_sd[:, None]
-        w = np.empty((n, m + 1))
-        w[:, 0] = 0.0
-        np.cumsum(incr, axis=1, out=w[:, 1:])
-        w_target = z / sigma
-        w += f[None, :] * (w_target - w[:, m])[:, None]
-        drift = np.asarray(mu - hs)
-        v = (drift * tau)[..., None] * (1.0 - f)[None, :] \
-            + np.asarray(sigma)[..., None] * (w_target[:, None] - w)
-        np.exp(v, out=v)
-        weights = np.full(m + 1, 1.0)
-        weights[0] = weights[m] = 0.5
-        cell = (tau / m)
-        exp_integral = (v @ weights) * cell
-        prem = self.config.premium
-        if self._premium_mode == "zero":
-            return exp_integral, None
-        if self._premium_mode == "constant":
-            return exp_integral, prem.c * exp_integral
-        if t_start is None:
-            t_start = np.zeros(n)
-        s_nodes = t_start[:, None] + tau[:, None] * f[None, :]
-        rates = prem.rate(s_nodes)
-        premium_int = ((v * rates) @ weights) * cell
+        m, f, weights = self.m, self._fractions, self._weights
+        rows = min(n, self._rows)
+        incr = np.empty((rows, m))
+        w, tmp = np.empty((rows, m + 1)), np.empty((rows, m + 1))
+        cell = tau / m
+        cell_sd, w_target = np.sqrt(cell), z / sigma
+        drift_tau, sig = np.asarray(mu - hs) * tau, np.broadcast_to(sigma, n)
+        prem, decay = self.config.premium, self._premium_mode == "exponential_decay"
+        exp_integral = np.empty(n)
+        premium_int = np.empty(n) if decay else None
+        r1 = 0
+        while r1 < n:
+            r0, r1 = r1, min(r1 + rows, n)
+            if r1 == n - 1:           # no one-row last block (module doc)
+                r1 -= 4
+            bi, bw, bt = incr[:r1 - r0], w[:r1 - r0], tmp[:r1 - r0]
+            target = w_target[r0:r1, None]
+            streams.brownian.standard_normal(out=bi)
+            bi *= cell_sd[r0:r1, None]
+            bw[:, 0] = 0.0
+            np.cumsum(bi, axis=1, out=bw[:, 1:])
+            np.subtract(target, bw[:, m:], out=bi[:, :1])   # pin gap
+            bw += np.multiply(f, bi[:, :1], out=bt)
+            np.subtract(target, bw, out=bw)
+            bw *= sig[r0:r1, None]
+            bw += np.multiply(drift_tau[r0:r1, None], self._one_minus_f, out=bt)
+            np.exp(bw, out=bw)
+            np.matmul(bw, weights, out=exp_integral[r0:r1])
+            if decay:
+                np.multiply(tau[r0:r1, None], f, out=bt)
+                bt += 0.0 if t_start is None else t_start[r0:r1, None]
+                np.matmul(np.multiply(bw, prem.rate(bt), out=bt), weights,
+                          out=premium_int[r0:r1])
+        exp_integral *= cell
+        if decay:
+            premium_int *= cell
+        elif self._premium_mode == "constant":
+            premium_int = prem.c * exp_integral
         return exp_integral, premium_int
 
 

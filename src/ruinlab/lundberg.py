@@ -24,7 +24,7 @@ when the integral of phi_tau(q_tau - h) against the law of H diverges at 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -134,6 +134,8 @@ class LundbergReport:
     ci_halfwidth: Optional[float]
     hypothesis_flags: dict
     status: str                        # "root" | "no_root"
+    # tangent geometry of the analytic route, kept out of to_dict
+    geometry: Optional[TangentGeometry] = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -754,17 +756,18 @@ def lundberg_report(config: ModelConfig, tol: float = 1e-10,
             q_nu = geometry.q_plus
             phi_end = endpoint_phi_value(theta, tau_dist, geometry)
             if phi_end <= 1.0:
-                report = LundbergReport(
+                return LundbergReport(
                     beta=None, q_nu=q_nu, phi_at_endpoint=phi_end,
                     method="analytic", ci_halfwidth=None,
-                    hypothesis_flags=_flags(config, ek, None), status="no_root")
-                return report
+                    hypothesis_flags=_flags(config, ek, None), status="no_root",
+                    geometry=geometry)
         else:
             q_nu = math.inf
         report = solve_beta(partial(phi_nu_analytic, theta, tau_dist),
                             q_upper_hint=q_nu, tol=tol, q_nu=q_nu,
                             phi_at_endpoint=phi_end, method="analytic")
-        return replace(report, hypothesis_flags=_flags(config, ek, report.beta))
+        return replace(report, hypothesis_flags=_flags(config, ek, report.beta),
+                       geometry=geometry)
 
     nu = sample_nu(config, mc_samples, seed)
     cache: dict = {}

@@ -120,12 +120,10 @@ def model_pair_sampler(config: ModelConfig) -> PairSampler:
     return partial(_model_pair, config)
 
 
-def _qbar_pair(config: ModelConfig, premium_nodes: int,
-               streams: RngStreams, n: int):
-    kernel = StepKernel(config, premium_nodes)
+def _qbar_pair(kernel: StepKernel, streams: RngStreams, n: int):
     blk = kernel.sample(streams, n, need_exp_integral=True)
     m = np.exp(blk.nu)
-    qbar = (blk.claim - config.c_bar * blk.exp_integral) * m
+    qbar = (blk.claim - kernel.config.c_bar * blk.exp_integral) * m
     return m, qbar
 
 
@@ -136,7 +134,7 @@ def qbar_pair_sampler(config: ModelConfig,
     Q_bar = (claim - c_bar * growth integral) * M can take either sign, so
     the associated perpetuity is the running supremum of its partial sums.
     """
-    return partial(_qbar_pair, config, premium_nodes)
+    return partial(_qbar_pair, StepKernel(config, premium_nodes))
 
 
 def _check_contraction(sampler: PairSampler, seed: int, n: int = 20_000):

@@ -76,30 +76,28 @@ def _chain_chunk(streams, size, *, config, u_grid, max_steps, barrier_multiple,
                          for u in u_grid])
     t_start = np.zeros(size)
     ruined = np.zeros(k, dtype=np.int64)
+    mask = np.empty((size, k), dtype=bool)
     for _ in range(max_steps):
         n_rows = len(s)
         blk = kernel.sample(streams, n_rows, t_start=t_start)
-        if blk.lam is None:
-            s = s + blk.zeta[:, None]
-        else:
-            s = blk.lam[:, None] * s + blk.zeta[:, None]
-        t_start = t_start + blk.tau
-        hit = active & (s < 0.0)
-        ruined += hit.sum(axis=0)
-        active &= ~hit
-        active &= ~(s > barriers[None, :])
+        if blk.lam is not None:
+            np.multiply(s, blk.lam[:, None], out=s)
+        s += blk.zeta[:, None]
+        t_start += blk.tau
+        hit = np.less(s, 0.0, out=mask[:n_rows])
+        hit &= active
+        ruined += np.count_nonzero(hit, axis=0)
+        active ^= hit                     # hit is a subset of active
+        np.greater(s, barriers, out=hit)
+        np.logical_not(hit, out=hit)
+        active &= hit
         alive = active.any(axis=1)
-        n_alive = int(alive.sum())
+        n_alive = np.count_nonzero(alive)
         if n_alive == 0:
-            active = active[:0]
             break
         if n_alive < 0.7 * n_rows:
             s, active, t_start = s[alive], active[alive], t_start[alive]
-    if len(active):
-        censored = active.sum(axis=0).astype(np.int64)
-    else:
-        censored = np.zeros(k, dtype=np.int64)
-    return ruined, censored
+    return ruined, np.count_nonzero(active, axis=0).astype(np.int64)
 
 
 def _scalar_chain_chunk(streams, size, *, config, u_grid, max_steps,

@@ -1,9 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from ruinlab import cli, lundberg
 from ruinlab.cli import main
+
+GOLDEN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
 
 BETA2 = {
     "version": 1,
@@ -41,6 +45,32 @@ def test_lundberg_golden_config(tmp_path, capsys):
     assert doc["q_plus"] == pytest.approx(0.6180339887, abs=1e-9)
     assert doc["status"] == "no_root"
     assert doc["endpoint_verdict"] == "endpoint_finite"
+
+
+def test_lundberg_reuses_report_geometry(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = lundberg.q_plus_compute
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lundberg, "q_plus_compute", counted)
+    monkeypatch.setattr(cli, "q_plus_compute", counted)
+    assert main(["lundberg", "--config", str(GOLDEN_CONFIG)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "beta": None, "ci_halfwidth": None, "endpoint_inconclusive": False,
+        "endpoint_verdict": "endpoint_finite",
+        "hypothesis_flags": {"claim_moment_ok": None, "cond_tau_ok": None,
+                             "ek_positive": True},
+        "method": "analytic", "phi_at_endpoint": 0.6864049476509566,
+        "q_nu": 0.6180339887498949, "q_plus": 0.6180339887498949,
+        "status": "no_root", "touching_points": [[0.0, 1.0]]}
+    assert main(["lundberg", "--config", write_cfg(tmp_path, BETA2)]) == 0
+    assert len(calls) == 2
+    assert json.loads(capsys.readouterr().out)["endpoint_verdict"] == \
+        "endpoint_infinite"
 
 
 def test_lundberg_beta2(tmp_path, capsys):

@@ -93,6 +93,14 @@ class TestSup:
         m, q = qbar_pair_sampler(cfg)(RngStreams.from_seed(6), 100_000)
         assert np.mean((m > 1.0) & (q > 0.0)) > 0.0
 
+    def test_rbar_exact_bits_pinned(self):
+        # R_bar runs every term through the Brownian bridge, so unlike the
+        # ruin counts these floats show any ulp-level drift in the kernel.
+        batch = sample_Rbar_values(beta2_cfg(), 2048, seed=3)
+        assert batch.values[0] == 56.949083405783625
+        assert batch.values.sum() == 90600.24835579102
+        assert batch.n_terms.sum() == 1912906
+
 
 class TestFixedPoint:
     def test_degenerate_case_zero_statistic(self):
