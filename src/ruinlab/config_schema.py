@@ -175,8 +175,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     doc = dict(_expect_mapping(doc, "$"))
     top = _take(doc, "$", {
         "version": "int", "seed": "int", "model": "obj", "lundberg": "obj",
-        "ruin": "obj", "perpetuity": "obj", "validate": "obj",
-        "output": "obj",
+        "ruin": "obj", "perpetuity": "obj", "output": "obj",
     }, ("version", "model"))
     if top["version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported version {top['version']}", "$.version")
@@ -207,7 +206,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         "ruin": {"u_grid": "list", "n_paths": "int", "max_steps": "int",
                  "barrier_multiple": "number", "premium_nodes": "int"},
         "perpetuity": {"samples": "int", "rel_tol": "number", "n_max": "int"},
-        "validate": {"suite": "str"},
     }
     for name, fields in _BLOCK_FIELDS.items():
         if name in top:
@@ -216,9 +214,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     output = None
     if "output" in top:
         output = _take(dict(_expect_mapping(top["output"], "$.output")),
-                       "$.output", {"path": "str", "format": "str"}, ("path",))
-        if output.get("format", "json") not in ("json", "csv"):
-            raise ConfigError("format must be json or csv", "$.output.format")
+                       "$.output", {"path": "str"}, ("path",))
     return ExperimentConfig(model=model, seed=top.get("seed", 0),
                             blocks=blocks, output=output)
 

@@ -12,6 +12,10 @@ forms K = (mu - sigma^2/2) tau and Z ~ Normal(0, sigma^2 tau); a Brownian
 bridge over a small node grid is used only for the growth integral that
 feeds the premium (and the premium-capped increment bound).
 
+``discounted_sup`` is the one lockstep loop over step pairs (M, Q): it runs
+D_n = sum_k Q_k prod_{i<k} M_i and its running supremum for a chunk of rows,
+which serves the ruin chain, the log-return walk and both perpetuities.
+
 Bridge rows go through cache-sized blocks, in place.  Blocks draw normals
 in row order and round every element as one full-width pass does; block
 sizes are multiples of four and the last is never one row, since BLAS rounds
@@ -24,14 +28,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DistributionError
 from .model import ModelConfig, RngStreams
 
-__all__ = ["StepKernel", "StepBlock", "run_chunked", "wilson_halfwidth",
+__all__ = ["StepKernel", "StepBlock", "SupRun", "discounted_sup",
+           "run_discounted_sup", "run_chunked", "wilson_halfwidth",
            "DEFAULT_CHUNK_SIZE", "DEFAULT_PREMIUM_NODES"]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -173,6 +178,80 @@ class StepKernel:
         elif self._premium_mode == "constant":
             premium_int = prem.c * exp_integral
         return exp_integral, premium_int
+
+
+# -- the discounted-supremum loop ------------------------------------------------
+
+class SupRun(NamedTuple):
+    """Per-row read-out of ``discounted_sup``, taken at each row's first stop."""
+
+    total: np.ndarray            # D_n
+    sup: np.ndarray              # max_{k <= n} D_k
+    n_terms: np.ndarray          # n
+    stopped: np.ndarray          # False for rows still live at the term cap
+
+
+def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
+                   n_max: int, drop: float = math.inf, scale: float = 1.0,
+                   rel_tol: float = 0.0) -> SupRun:
+    """Run D_n = sum_{k<=n} Q_k prod_{i<k} M_i and its supremum on ``size`` rows.
+
+    ``pairs(streams, t)`` draws (M, Q, tau) for the rows whose clocks are
+    ``t``; M is None when every multiplier is 1, tau None when no clock is
+    needed.  The state is updated in place: total += prod Q, sup = max(sup,
+    total), prod *= M, t += tau.  A row stops after a term once the walk has
+    dropped more than ``drop`` below its supremum, or once prod scale <
+    rel_tol max(|sup|, scale): the rest of the sum is prod times a fresh copy
+    of the whole, of order ``scale``.  The rule reads no reserve or threshold
+    of the caller.  Stopped rows are dropped once fewer than 70 % are live.
+    """
+    total, prod, t, buf = (np.zeros(size), np.ones(size), np.zeros(size),
+                           np.empty(size))
+    sup = np.full(size, -np.inf)
+    rows, live = np.arange(size), np.ones(size, dtype=bool)
+    hit, flag = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    out = SupRun(np.empty(size), np.empty(size),
+                 np.full(size, n_max, dtype=np.int64), np.zeros(size, bool))
+    for k in range(1, n_max + 1):
+        n = len(total)
+        m, q, tau = pairs(streams, t)
+        total += np.multiply(prod, q, out=buf[:n])
+        np.maximum(sup, total, out=sup)
+        if m is not None:
+            prod *= m
+        if tau is not None:
+            t += tau
+        stop = np.greater(np.subtract(sup, total, out=buf[:n]), drop,
+                          out=hit[:n])
+        if rel_tol > 0.0:          # prod < rel_tol max(|sup| / scale, 1)
+            lim = np.abs(sup, out=buf[:n])
+            lim *= rel_tol / scale
+            stop |= np.less(prod, np.maximum(lim, rel_tol, out=lim),
+                            out=flag[:n])
+        stop &= live
+        if stop.any():
+            r = rows[stop]
+            out.total[r], out.sup[r] = total[stop], sup[stop]
+            out.n_terms[r], out.stopped[r] = k, True
+            live ^= stop
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
+            break
+        if n_live < 0.7 * n:
+            total, sup, prod, t, rows = (total[live], sup[live], prod[live],
+                                         t[live], rows[live])
+            live = np.ones(n_live, dtype=bool)
+    out.total[rows[live]], out.sup[rows[live]] = total[live], sup[live]
+    return out
+
+
+def run_discounted_sup(pairs: Callable, total: int, seed: int,
+                       workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE,
+                       **rule) -> SupRun:
+    """``discounted_sup`` over deterministic chunks, merged in chunk order."""
+    runs = run_chunked(discounted_sup, total, seed, workers, chunk_size,
+                       pairs=pairs, **rule)
+    return SupRun(*map(np.concatenate, zip(*runs)))
 
 
 # -- chunked deterministic-parallel evaluation ---------------------------------

@@ -163,11 +163,11 @@ def criterion_power_tail(workers: Optional[int] = None,
     slopes of psi_hat on one coupled 1e6-path run (seed 42) are
 
         u        10->30  30->100  100->300  300->600  600->1200  1200->2400
-        slope    -0.66   -1.46    -1.82     -1.93     -2.00      -2.15
+        slope    -0.66   -1.46    -1.82     -1.93     -2.00      -2.02
 
     The rule for the grid: every reserve is at least 6 E R, where the local
     slope is within noise of -beta.  On u in {300, 600, 1200, 2400} the fit
-    gives slope -1.970 and spread 1.04 (seed 42); inside the body, on
+    gives slope -1.961 and spread 1.05 (seed 42); inside the body, on
     u in {10, 30, 100, 300}, it gives slope -0.838 and spread 10.2.
     """
     workers = workers or _default_workers()

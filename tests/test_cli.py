@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ruinlab import cli, lundberg
+from ruinlab import ConfigError, cli, lundberg, parse_experiment
 from ruinlab.cli import main
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
@@ -95,6 +95,18 @@ def test_unknown_key_rejected(tmp_path, capsys):
     bad["model"] = dict(BETA2["model"], typo_key=1)
     assert main(["lundberg", "--config", write_cfg(tmp_path, bad)]) == 2
     assert "typo_key" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("block, value, path, key", [
+    ("validate", {"suite": "quick"}, "$", "validate"),
+    ("output", {"path": "out/run", "format": "csv"}, "$.output", "format"),
+], ids=["validate", "output"])
+def test_unread_schema_fields_rejected(block, value, path, key):
+    # validate.suite and output.format were accepted and never read
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(dict(BETA2, **{block: value}))
+    assert err.value.field == path
+    assert f"{path}: unknown keys ['{key}']" == str(err.value)
 
 
 def test_hypothesis_violation_exit_code(tmp_path, capsys):

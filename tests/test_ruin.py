@@ -17,6 +17,16 @@ def beta2_cfg():
         mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
 
 
+def piecewise_cfg():
+    return ModelConfig(
+        claim_dist=Distribution.exponential(1.0),
+        interarrival_dist=Distribution.exponential(1.0),
+        premium=PremiumSpec.constant(0.1),
+        regime=RegimeSpec.piecewise(0.25, Distribution.uniform(0.05, 0.07),
+                                    Distribution.uniform(0.15, 0.25)),
+        mu_lower=0.05, sigma_upper=0.25, c_bar=0.1, grid_step=0.25)
+
+
 def classical_cfg(c=2.0):
     return ModelConfig(
         claim_dist=Distribution.exponential(1.0),
@@ -58,20 +68,35 @@ class TestEstimatePsi:
         exact = classical_psi(1.0, 1.0, 2.0, 1.0).value
         assert abs(est.psi_hat - exact) <= 3.0 * est.ci_halfwidth
 
-    def test_monotone_in_reserve_under_coupling(self):
-        ests = estimate_psi_grid([1.0, 3.0, 9.0, 27.0], beta2_cfg(), 20_000,
-                                 max_steps=2_000, seed=3)
+    # (config, grid, paths, max_steps); the piecewise grid is fine enough
+    # that estimates drawn independently per reserve are not monotone
+    @pytest.mark.parametrize("cfg, grid, n, steps", [
+        (beta2_cfg(), [1.0, 3.0, 9.0, 27.0], 20_000, 2_000),
+        (piecewise_cfg(), [10.0 + 0.5 * i for i in range(9)], 200, 200),
+    ], ids=["constant", "piecewise"])
+    def test_monotone_in_reserve_under_coupling(self, cfg, grid, n, steps):
+        ests = estimate_psi_grid(grid, cfg, n, max_steps=steps, seed=3)
         vals = [e.psi_hat for e in ests]
         assert vals == sorted(vals, reverse=True)
 
-    def test_scale_invariance_exact(self):
+    @pytest.mark.parametrize("cfg, n, steps", [
+        (beta2_cfg(), 10_000, 1_000), (piecewise_cfg(), 100, 100),
+    ], ids=["constant", "piecewise"])
+    def test_scale_invariance_exact(self, cfg, n, steps):
         grid = [2.0, 8.0]
-        a = estimate_psi_grid(grid, beta2_cfg(), 10_000, max_steps=1_000,
-                              seed=4)
-        b = estimate_psi_grid([2.0 * u for u in grid],
-                              beta2_cfg().scaled(2.0), 10_000,
-                              max_steps=1_000, seed=4)
+        a = estimate_psi_grid(grid, cfg, n, max_steps=steps, seed=4)
+        b = estimate_psi_grid([2.0 * u for u in grid], cfg.scaled(2.0), n,
+                              max_steps=steps, seed=4)
         assert [x.psi_hat for x in a] == [y.psi_hat for y in b]
+
+    def test_reserve_estimate_independent_of_grid(self):
+        # the stopping rule never reads the reserves, so a path's draws and
+        # its indicator at u = 300 do not depend on the rest of the grid
+        alone = estimate_psi_grid([300.0], beta2_cfg(), 20_000, seed=42)
+        wide = estimate_psi_grid([10.0, 30.0, 100.0, 300.0, 600.0, 1200.0,
+                                  2400.0], beta2_cfg(), 20_000, seed=42)
+        assert alone[0].psi_hat == wide[3].psi_hat
+        assert alone[0].censored_fraction == wide[3].censored_fraction
 
     def test_deterministic_across_worker_counts(self):
         est1 = estimate_psi(5.0, beta2_cfg(), 30_000, max_steps=500, seed=5,
@@ -86,15 +111,8 @@ class TestEstimatePsi:
         assert est.censored_fraction > 0.5
 
     def test_piecewise_regime_fallback(self):
-        cfg = ModelConfig(
-            claim_dist=Distribution.exponential(1.0),
-            interarrival_dist=Distribution.exponential(1.0),
-            premium=PremiumSpec.constant(0.1),
-            regime=RegimeSpec.piecewise(0.25, Distribution.uniform(0.05, 0.07),
-                                        Distribution.uniform(0.15, 0.25)),
-            mu_lower=0.05, sigma_upper=0.25, c_bar=0.1, grid_step=0.25)
-        ests = estimate_psi_grid([2.0, 20.0], cfg, 300, max_steps=300,
-                                 seed=7, chunk_size=150)
+        ests = estimate_psi_grid([2.0, 20.0], piecewise_cfg(), 300,
+                                 max_steps=300, seed=7, chunk_size=150)
         assert 0.0 <= ests[1].psi_hat <= ests[0].psi_hat <= 1.0
 
 
