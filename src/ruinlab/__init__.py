@@ -3,19 +3,14 @@
 from .distributions import Distribution, MgfEndpoint
 from .errors import (ConfigError, DistributionError, EstimationError,
                      HypothesisViolation, NumericsWarning, RuinlabError)
-from .model import (ModelConfig, PremiumSpec, RegimeDraw, RegimeSpec,
-                    RngStreams, draw_claim, draw_regime)
+from .model import ModelConfig, PremiumSpec, RegimeSpec, RngStreams
 from .theta import ThetaLaw, zeta_regime_law
-from .embedded import (ChainTrajectory, ContinuousResult, EmbeddedStep,
-                       embedded_step, simulate_chain, simulate_continuous)
 from .lundberg import (HLaw, LundbergReport, PhiNuEstimate, TangentGeometry,
                        EndpointVerdict, lundberg_report, phi_nu_analytic,
                        phi_nu_mc, q_plus_compute, sample_nu, solve_beta,
                        classify_endpoint, u_vector)
-from .perpetuity import (GoldieEstimate, PerpetuityBatch, PerpetuityPair,
-                         PerpetuitySample, deterministic_pair_sampler,
-                         goldie_constant, iid_pair_sampler, ks_fixed_point,
-                         model_pair_sampler, qbar_pair_sampler, sample_R,
+from .perpetuity import (GoldieEstimate, PerpetuityBatch, goldie_constant,
+                         ks_fixed_point, model_pair_sampler, qbar_pair_sampler,
                          sample_R_values, sample_Rbar_values,
                          sample_sup_values)
 from .ruin import (BoundsCheck, ClassicalRuin, RuinEstimate, TailFit,

@@ -26,9 +26,9 @@ from . import perpetuity as perp
 from .config_schema import load_experiment
 from .errors import ConfigError, HypothesisViolation, RuinlabError
 from .lundberg import lundberg_report, q_plus_compute, classify_endpoint
+from .engine import StepKernel
 from .model import RngStreams
-from .ruin import bounds_check, estimate_psi_grid, fit_tail
-from .embedded import simulate_chain
+from .ruin import barrier_level, bounds_check, estimate_psi_grid, fit_tail
 from .validate import run_suite
 
 EXIT_OK = 0
@@ -221,17 +221,28 @@ def _tail_slope(values: np.ndarray, n_points: int = 8) -> float:
 
 
 def cmd_simulate(args) -> int:
+    """One kernel path, S <- exp(-nu) S + zeta, until ruin, barrier or cap."""
     exp = load_experiment(args.config)
-    seed = _resolve_seed(args, exp)
-    traj = simulate_chain(args.u, exp.model, max_steps=args.steps,
-                          barrier_multiple=args.barrier,
-                          rng=RngStreams.from_seed(seed), record_steps=True)
-    rows = [[0, traj.values[0], "", "", ""]]
-    for n, step in enumerate(traj.steps, start=1):
-        rows.append([n, traj.values[n], step.lam, step.zeta, step.nu])
+    if args.u < 0 or args.steps < 1 or args.barrier <= 1:
+        raise ConfigError("need --u >= 0, --steps >= 1 and --barrier > 1")
+    kernel = StepKernel(exp.model)
+    streams = RngStreams.from_seed(_resolve_seed(args, exp))
+    barrier = barrier_level(args.u, exp.model, args.barrier)
+    s, t, reason = args.u, np.zeros(1), "max_steps"
+    rows = [[0, s, "", "", ""]]
+    for n in range(1, args.steps + 1):
+        blk = kernel.sample(streams, 1, t_start=t)
+        nu, zeta = float(blk.nu[0]), float(blk.zeta[0])
+        lam = math.exp(-nu)
+        s = lam * s + zeta
+        t += blk.tau
+        rows.append([n, s, lam, zeta, nu])
+        if s < 0.0 or s > barrier:
+            reason = "ruin" if s < 0.0 else "barrier"
+            break
     _write_csv(rows, ["n", "s_n", "lambda_n", "zeta_n", "nu_n"], args.dump)
-    print(f"simulate: stopped by {traj.stopped_reason} after "
-          f"{len(traj.values) - 1} steps", file=sys.stderr)
+    print(f"simulate: stopped by {reason} after {len(rows) - 1} steps",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -277,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_intish, default=None)
     p.set_defaults(fn=cmd_perpetuity)
 
-    p = sub.add_parser("simulate", help="dump a single trajectory")
+    p = sub.add_parser(
+        "simulate", help="dump one kernel path of the reserve at claim "
+                         "times until ruin, the barrier or the step cap")
     common(p)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)

@@ -184,7 +184,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     mvals = _take(m, "$.model", {
         "claim": "obj", "interarrival": "obj", "premium": "obj",
         "mu_lower": "number", "sigma_upper": "number", "c_bar": "number",
-        "grid_step": "number",
     }, ("claim", "interarrival", "premium"))
     try:
         model = ModelConfig(
@@ -196,7 +195,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
             mu_lower=mvals.get("mu_lower", -math.inf),
             sigma_upper=mvals.get("sigma_upper", math.inf),
             c_bar=mvals.get("c_bar", 0.0),
-            grid_step=mvals.get("grid_step", 1e-3),
         )
     except DistributionError as exc:
         raise ConfigError(str(exc), "$.model") from exc

@@ -7,10 +7,14 @@ stopped are compacted away.  Work is split into fixed-size chunks, each
 owning generator streams derived from (master seed, chunk index), so a
 result depends only on (seed, chunk size) and never on the worker count.
 
-In constant-coefficient mode the interval aggregate uses the exact closed
+``StepKernel`` is the one step implementation for both regime modes.  In
+constant-coefficient mode the interval aggregate uses the exact closed
 forms K = (mu - sigma^2/2) tau and Z ~ Normal(0, sigma^2 tau); a Brownian
 bridge over a small node grid is used only for the growth integral that
-feeds the premium (and the premium-capped increment bound).
+feeds the premium (and the premium-capped increment bound).  In piecewise
+mode every grid cell of step h draws its own (mu, sigma) and Wiener
+increment; nu sums the cells of a row and both integrals are the trapezoid
+over the cell nodes.
 
 ``discounted_sup`` is the one lockstep loop over step pairs (M, Q): it runs
 D_n = sum_k Q_k prod_{i<k} M_i and its running supremum for a chunk of rows,
@@ -21,6 +25,7 @@ in row order and round every element as one full-width pass does; block
 sizes are multiples of four and the last is never one row, since BLAS rounds
 a trapezoid row by its place among groups of four.  Blocks stay below
 OpenBLAS's threading threshold, so bits never depend on its thread count.
+Piecewise rows go through blocks of about ``_BLOCK_FLOATS`` cells.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DistributionError
 from .model import ModelConfig, RngStreams
 
 __all__ = ["StepKernel", "StepBlock", "SupRun", "discounted_sup",
@@ -50,25 +54,21 @@ class StepBlock:
 
     tau: np.ndarray
     nu: np.ndarray
-    lam: np.ndarray
     claim: Optional[np.ndarray]
     zeta: Optional[np.ndarray]
     exp_integral: Optional[np.ndarray]
 
 
 class StepKernel:
-    """Draws (lam, zeta) step blocks for a configuration.
+    """Draws step blocks for a configuration, in either regime mode.
 
     ``premium_nodes`` controls the Brownian-bridge resolution of the growth
-    integral; the integral enters only through the premium term, so a small
-    node count is enough at Monte Carlo accuracy.
+    integral in constant mode; the integral enters only through the premium
+    term, so a small node count is enough at Monte Carlo accuracy.
+    Piecewise regimes integrate over their own cell nodes instead.
     """
 
     def __init__(self, config: ModelConfig, premium_nodes: int = DEFAULT_PREMIUM_NODES):
-        if config.has_investment and config.regime.mode != "constant":
-            raise DistributionError(
-                "the vectorized kernel supports constant-coefficient regimes; "
-                "use the scalar simulator for piecewise regimes")
         self.config = config
         self.m = int(premium_nodes)
         if self.m < 2:
@@ -78,7 +78,8 @@ class StepKernel:
         self._weights = np.r_[0.5, np.ones(self.m - 1), 0.5]
         self._rows = max(8, _BLOCK_FLOATS // (self.m + 1) & ~3)
         self.investment = config.has_investment
-        if self.investment:
+        self._piecewise = self.investment and config.regime.mode == "piecewise"
+        if self.investment and not self._piecewise:
             theta = config.regime.theta
             self._point = theta.is_point_mass
             if self._point:
@@ -93,11 +94,16 @@ class StepKernel:
                need_exp_integral: bool = False) -> StepBlock:
         cfg = self.config
         tau = np.atleast_1d(cfg.interarrival_dist.sample(streams.regime, n))
+        want_integrals = need_exp_integral or (
+            need_claim and self._premium_mode != "zero")
+        exp_integral = premium_int = None
         if not self.investment:
             nu = np.zeros(n)
-            lam = None
-            exp_integral = tau if need_exp_integral else None
+            exp_integral = tau
             premium_int = self._classical_premium(tau, t_start, n)
+        elif self._piecewise:
+            nu, exp_integral, premium_int = self._cell_steps(
+                streams, tau, t_start, want_integrals)
         else:
             if self._point:
                 mu, hs = self._mu0, self._hs0
@@ -108,11 +114,6 @@ class StepKernel:
             k_tot = (mu - hs) * tau
             z = streams.brownian.standard_normal(n) * (sigma * np.sqrt(tau))
             nu = -(k_tot + z)
-            lam = np.exp(-nu)
-            exp_integral = None
-            premium_int = None
-            want_integrals = need_exp_integral or (
-                need_claim and self._premium_mode != "zero")
             if want_integrals:
                 exp_integral, premium_int = self._bridge_integrals(
                     streams, n, tau, mu, hs, sigma, z, t_start)
@@ -121,7 +122,7 @@ class StepKernel:
         if need_claim:
             claim = np.atleast_1d(cfg.claim_dist.sample(streams.claims, n))
             zeta = -claim if premium_int is None else premium_int - claim
-        return StepBlock(tau=tau, nu=nu, lam=lam, claim=claim, zeta=zeta,
+        return StepBlock(tau=tau, nu=nu, claim=claim, zeta=zeta,
                          exp_integral=exp_integral if need_exp_integral else None)
 
     def _classical_premium(self, tau, t_start, n):
@@ -131,6 +132,60 @@ class StepKernel:
         if t_start is None:
             t_start = np.zeros(n)
         return prem.integral(t_start, t_start + tau)
+
+    def _cell_steps(self, streams, tau, t_start, want_integrals):
+        """nu and the growth and premium integrals over piecewise cells.
+
+        Cell k of a row spans [k h, min((k + 1) h, tau)] and draws its own mu,
+        sigma and Wiener increment; nu is minus the sum of a row's cell log
+        growths.  v at a cell's left node is the log growth from that node to
+        tau, and both integrals are the trapezoid over the cell nodes.  v is
+        one suffix sum over the block less the sum beyond the row, exact to
+        rounding of order eps times the block's summed log growth.  Rows go
+        through blocks of about ``_BLOCK_FLOATS`` cells; a block draws mu for
+        all its cells, then sigma, then the increments.
+        """
+        spec, prem, n = self.config.regime, self.config.premium, len(tau)
+        decay = want_integrals and self._premium_mode == "exponential_decay"
+        counts = np.maximum(1, np.ceil(tau / spec.h - 1e-12).astype(np.int64))
+        ends = np.cumsum(counts)
+        nu = np.empty(n)
+        exp_integral = np.empty(n) if want_integrals else None
+        premium_int = np.empty(n) if decay else None
+        r1 = 0
+        while r1 < n:
+            r0, base = r1, ends[r1 - 1] if r1 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, base + _BLOCK_FLOATS,
+                                                 side="right")))
+            cnt, total = counts[r0:r1], int(ends[r1 - 1] - base)
+            first = ends[r0:r1] - cnt - base
+            last = first + cnt - 1
+            node = (np.arange(total) - np.repeat(first, cnt)) * spec.h
+            end = np.empty(total)
+            end[:-1] = node[1:]
+            end[last] = tau[r0:r1]
+            width = end - node
+            mu = np.atleast_1d(spec.mu_law.sample(streams.regime, total))
+            sig = np.atleast_1d(spec.sigma_law.sample(streams.regime, total))
+            dw = streams.brownian.standard_normal(total) * np.sqrt(width)
+            g = (mu - 0.5 * sig ** 2) * width + sig * dw
+            nu[r0:r1] = -np.add.reduceat(g, first)
+            if not want_integrals:
+                continue
+            v = np.cumsum(g[::-1])[::-1]          # suffix sums over the block
+            v -= np.repeat(np.append(v[first[1:]], 0.0), cnt)   # ... per row
+            e0 = np.exp(v)
+            e1 = np.empty(total)
+            e1[:-1] = e0[1:]
+            e1[last] = 1.0
+            exp_integral[r0:r1] = np.add.reduceat(width * (e0 + e1) / 2.0, first)
+            if decay:
+                t0 = 0.0 if t_start is None else np.repeat(t_start[r0:r1], cnt)
+                area = e0 * prem.rate(t0 + node) + e1 * prem.rate(t0 + end)
+                premium_int[r0:r1] = np.add.reduceat(width * area / 2.0, first)
+        if want_integrals and self._premium_mode == "constant":
+            premium_int = prem.c * exp_integral
+        return nu, exp_integral, premium_int
 
     def _bridge_integrals(self, streams, n, tau, mu, hs, sigma, z, t_start):
         """Growth integral (and premium integral) via a pinned bridge.

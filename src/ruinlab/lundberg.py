@@ -32,6 +32,7 @@ import numpy as np
 from scipy import integrate
 
 from .distributions import Distribution
+from .engine import StepKernel
 from .errors import DistributionError, EstimationError, HypothesisViolation
 from .model import ModelConfig, RngStreams, as_streams
 from .theta import ThetaLaw
@@ -572,35 +573,9 @@ def endpoint_phi_value(theta: ThetaLaw, tau_dist: Distribution,
 def sample_nu(config: ModelConfig, n: int, rng: Union[int, RngStreams]
               ) -> np.ndarray:
     """Draws of nu = -(K + Z) over one inter-claim interval."""
-    streams = as_streams(rng)
     if not config.has_investment:
         raise DistributionError("nu degenerates without investment")
-    spec = config.regime
-    if spec.mode == "constant":
-        tau = np.atleast_1d(config.interarrival_dist.sample(streams.regime, n))
-        mu, hs = spec.theta.sample(streams.regime, n)
-        sigma = np.sqrt(2.0 * np.asarray(hs, dtype=float))
-        z = streams.brownian.standard_normal(n) * sigma * np.sqrt(tau)
-        return -((np.asarray(mu) - np.asarray(hs)) * tau + z)
-    # piecewise regime: flat-cell construction, chunked to bound memory
-    out = np.empty(n)
-    done = 0
-    while done < n:
-        take = min(4096, n - done)
-        tau = np.atleast_1d(config.interarrival_dist.sample(streams.regime, take))
-        counts = np.maximum(1, np.ceil(tau / spec.h - 1e-12).astype(int))
-        total = int(counts.sum())
-        widths = np.full(total, spec.h)
-        ends = np.cumsum(counts)
-        widths[ends - 1] = tau - (counts - 1) * spec.h
-        mu = np.atleast_1d(spec.mu_law.sample(streams.regime, total))
-        sig = np.atleast_1d(spec.sigma_law.sample(streams.regime, total))
-        dw = streams.brownian.standard_normal(total) * np.sqrt(widths)
-        cell = (mu - 0.5 * sig ** 2) * widths + sig * dw
-        sums = np.add.reduceat(cell, np.concatenate(([0], ends[:-1])))
-        out[done:done + take] = -sums
-        done += take
-    return out
+    return StepKernel(config).sample(as_streams(rng), n, need_claim=False).nu
 
 
 def phi_nu_mc(config: ModelConfig, q: float, n: int,

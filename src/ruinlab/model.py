@@ -1,4 +1,4 @@
-"""Model configuration and sampling of the per-interval regime quadruples.
+"""Model configuration and the seeded generator streams.
 
 A configuration bundles the claim-size law, the inter-arrival law, the
 regime specification for the investment coefficients, the premium-rate
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -24,10 +24,7 @@ from .distributions import Distribution
 from .errors import DistributionError, HypothesisViolation
 from .theta import ThetaLaw
 
-__all__ = [
-    "RngStreams", "PremiumSpec", "RegimeSpec", "ModelConfig", "RegimeDraw",
-    "draw_regime", "draw_claim",
-]
+__all__ = ["RngStreams", "PremiumSpec", "RegimeSpec", "ModelConfig"]
 
 _STREAM_LABELS = {"claims": 101, "regime": 202, "brownian": 303}
 
@@ -178,7 +175,6 @@ class ModelConfig:
     mu_lower: float = -math.inf
     sigma_upper: float = math.inf
     c_bar: float = 0.0
-    grid_step: float = 1e-3
 
     def __post_init__(self):
         if not self.claim_dist.nonnegative_support:
@@ -187,8 +183,6 @@ class ModelConfig:
             raise DistributionError("inter-arrival times must be positive")
         if self.interarrival_dist.kind == "pareto":
             raise DistributionError("pareto is permitted for claims only")
-        if self.grid_step <= 0:
-            raise DistributionError("grid step must be > 0")
         if self.c_bar < 0:
             raise DistributionError("premium bound c_bar must be >= 0")
         if self.premium.max_rate > self.c_bar + 1e-12:
@@ -265,64 +259,3 @@ class ModelConfig:
         """Monetary rescaling: claims and premium by k; time and regime kept."""
         return replace(self, claim_dist=self.claim_dist.scaled(k),
                        premium=self.premium.scaled(k), c_bar=self.c_bar * k)
-
-
-@dataclass
-class RegimeDraw:
-    """One sampled quadruple restricted to its inter-claim interval.
-
-    The coefficient paths are piecewise constant (right-continuous) on the
-    cells of a grid covering [0, tau]; the final cell is prorated.  Wiener
-    increments carry variance equal to the cell widths.
-    """
-
-    tau: float
-    node_times: np.ndarray   # length m + 1, node_times[0] = 0, [-1] = tau
-    widths: np.ndarray       # length m
-    mu: np.ndarray           # per-cell drift values
-    sigma: np.ndarray        # per-cell volatility values
-    dW: np.ndarray           # per-cell Wiener increments
-    coarse: bool             # fewer than 4 cells cover the interval
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.widths)
-
-
-def _grid_for(tau: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    n = max(1, math.ceil(tau / h - 1e-12))
-    nodes = np.minimum(np.arange(n + 1) * h, tau)
-    nodes[-1] = tau
-    return nodes, np.diff(nodes)
-
-
-def draw_regime(config: ModelConfig, rng: Union[int, RngStreams]) -> RegimeDraw:
-    """Sample one quadruple (mu path, sigma path, tau, Wiener increments).
-
-    The interval length and coefficient values come from the ``regime``
-    stream, the Wiener increments from the ``brownian`` stream, so the
-    increments are independent of (mu, sigma, tau) by construction.
-    """
-    if config.regime is None:
-        raise DistributionError("no-investment configuration has no regime draws")
-    streams = as_streams(rng)
-    tau = float(config.interarrival_dist.sample(streams.regime))
-    spec = config.regime
-    h = spec.h if spec.mode == "piecewise" else config.grid_step
-    nodes, widths = _grid_for(tau, h)
-    m = len(widths)
-    if spec.mode == "constant":
-        mu0, hs0 = spec.theta.sample(streams.regime)
-        mu = np.full(m, mu0)
-        sigma = np.full(m, math.sqrt(2.0 * hs0))
-    else:
-        mu = np.atleast_1d(spec.mu_law.sample(streams.regime, m))
-        sigma = np.atleast_1d(spec.sigma_law.sample(streams.regime, m))
-    dW = streams.brownian.standard_normal(m) * np.sqrt(widths)
-    return RegimeDraw(tau=tau, node_times=nodes, widths=widths, mu=mu,
-                      sigma=sigma, dW=dW, coarse=m < 4)
-
-
-def draw_claim(config: ModelConfig, rng: Union[int, RngStreams]) -> float:
-    """Positive claim size from the dedicated claims stream."""
-    return float(config.claim_dist.sample(as_streams(rng).claims))

@@ -37,17 +37,14 @@ from typing import Callable, Tuple, Union
 import numpy as np
 from scipy import stats
 
-from .distributions import Distribution
 from .engine import (DEFAULT_CHUNK_SIZE, DEFAULT_PREMIUM_NODES, StepKernel,
-                     discounted_sup, run_discounted_sup)
+                     run_discounted_sup)
 from .errors import EstimationError, HypothesisViolation
-from .lundberg import sample_nu
 from .model import ModelConfig, RngStreams, as_streams
 
 __all__ = [
-    "PerpetuityPair", "PerpetuitySample", "PerpetuityBatch", "GoldieEstimate",
-    "deterministic_pair_sampler", "iid_pair_sampler", "model_pair_sampler",
-    "qbar_pair_sampler", "sample_R", "sample_R_values", "sample_Rbar_values",
+    "PerpetuityBatch", "GoldieEstimate", "model_pair_sampler",
+    "qbar_pair_sampler", "sample_R_values", "sample_Rbar_values",
     "sample_sup_values", "ks_fixed_point", "goldie_constant",
 ]
 
@@ -56,24 +53,6 @@ PairSampler = Callable[[RngStreams, int], Tuple[np.ndarray, np.ndarray]]
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_N_MAX = 100_000
-
-
-@dataclass(frozen=True)
-class PerpetuityPair:
-    """One multiplier/increment pair; multipliers must be positive."""
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("multiplier must be > 0")
-
-
-@dataclass(frozen=True)
-class PerpetuitySample:
-    value: float
-    n_terms: int
-    converged: bool
 
 
 @dataclass
@@ -99,36 +78,15 @@ class GoldieEstimate:
 
 # -- pair samplers ---------------------------------------------------------------
 
-def _const_pair(a: float, b: float, streams: RngStreams, n: int):
-    return np.full(n, a), np.full(n, b)
-
-
-def deterministic_pair_sampler(pair: PerpetuityPair) -> PairSampler:
-    return partial(_const_pair, pair.a, pair.b)
-
-
-def _iid_pair(m_dist: Distribution, q_dist: Distribution,
-              streams: RngStreams, n: int):
-    m = np.atleast_1d(m_dist.sample(streams.regime, n))
-    q = np.atleast_1d(q_dist.sample(streams.claims, n))
-    return m, q
-
-
-def iid_pair_sampler(m_dist: Distribution, q_dist: Distribution) -> PairSampler:
-    """Independent multiplier and increment laws (test harness helper)."""
-    return partial(_iid_pair, m_dist, q_dist)
-
-
-def _model_pair(config: ModelConfig, streams: RngStreams, n: int):
-    nu = sample_nu(config, n, streams)
-    m = np.exp(nu)
-    xi = np.atleast_1d(config.claim_dist.sample(streams.claims, n))
+def _model_pair(kernel: StepKernel, streams: RngStreams, n: int):
+    m = np.exp(kernel.sample(streams, n, need_claim=False).nu)
+    xi = np.atleast_1d(kernel.config.claim_dist.sample(streams.claims, n))
     return m, xi * m
 
 
 def model_pair_sampler(config: ModelConfig) -> PairSampler:
     """(M, Q) = (1, claim) / step-multiplier for the upper-bound perpetuity."""
-    return partial(_model_pair, config)
+    return partial(_model_pair, StepKernel(config))
 
 
 def _qbar_pair(kernel: StepKernel, streams: RngStreams, n: int):
@@ -216,16 +174,6 @@ def sample_Rbar_values(config: ModelConfig, n_samples: int, seed: int = 0,
     return sample_sup_values(qbar_pair_sampler(config, premium_nodes),
                              n_samples, seed, n_max, rel_tol, workers,
                              chunk_size)
-
-
-def sample_R(pair_sampler: PairSampler, n_max: int, rel_tol: float,
-             rng: Union[int, RngStreams]) -> PerpetuitySample:
-    """Single draw of the increasing perpetuity."""
-    run = discounted_sup(as_streams(rng), 1,
-                         pairs=partial(_untimed, pair_sampler), n_max=n_max,
-                         rel_tol=rel_tol)
-    return PerpetuitySample(float(run.total[0]), int(run.n_terms[0]),
-                            bool(run.stopped[0]))
 
 
 # -- fixed point and tail constant --------------------------------------------------

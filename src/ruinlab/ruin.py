@@ -40,7 +40,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .embedded import _draw_step, barrier_level
 from .engine import (DEFAULT_CHUNK_SIZE, DEFAULT_PREMIUM_NODES, StepKernel,
                      run_discounted_sup, wilson_halfwidth)
 from .errors import EstimationError, HypothesisViolation
@@ -48,7 +47,7 @@ from .model import ModelConfig
 
 __all__ = ["RuinEstimate", "TailFit", "ClassicalRuin", "estimate_psi",
            "estimate_psi_grid", "classical_psi", "fit_tail", "bounds_check",
-           "rw_max_diagnostic"]
+           "rw_max_diagnostic", "barrier_level"]
 
 # Contraction tolerance of the chain's stopping rule (bias in the docstring).
 PSI_REL_TOL = 3e-6
@@ -88,25 +87,27 @@ class BoundsCheck:
 
 # -- chain engine ---------------------------------------------------------------
 
+def barrier_level(u: float, config: ModelConfig, barrier_multiple: float) -> float:
+    """Survival barrier used by the stopping rule.
+
+    Scaled off max(u, mean claim) so that small initial reserves still get a
+    meaningful barrier; the floor scales with money, which preserves the
+    exact monetary-scaling invariance of the ruin indicator.
+    """
+    floor = config.claim_dist.moment(1.0)
+    if not math.isfinite(floor) or floor <= 0.0:
+        floor = max(config.claim_dist.support()[0], 1.0)
+    return barrier_multiple * max(u, floor)
+
+
 def _chain_pairs(kernel, streams, t):
     """(M, Q, tau) = (1/lam, -zeta/lam, tau) from the vectorized kernel."""
     blk = kernel.sample(streams, len(t), t_start=t)
     q = np.negative(blk.zeta, out=blk.zeta)
-    if blk.lam is None:                  # no investment: M = 1
+    if not kernel.investment:            # M = 1
         return None, q, blk.tau
     m = np.exp(blk.nu, out=blk.nu)
     return m, np.multiply(q, m, out=q), blk.tau
-
-
-def _piecewise_pairs(config, streams, t):
-    """(M, Q, tau) row by row from the scalar step, for piecewise regimes."""
-    m, q, tau = np.empty(len(t)), np.empty(len(t)), np.empty(len(t))
-    for i, t_start in enumerate(t.tolist()):
-        step = _draw_step(config, streams, t_start)
-        m[i] = math.exp(step.nu)
-        q[i] = -step.zeta * m[i]
-        tau[i] = step.tau
-    return m, q, tau
 
 
 def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
@@ -121,10 +122,7 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
     if any(u < 0 for u in u_grid):
         raise ValueError("initial reserves must be >= 0")
     u_grid = tuple(float(u) for u in u_grid)
-    if config.has_investment and config.regime.mode != "constant":
-        pairs = partial(_piecewise_pairs, config)
-    else:
-        pairs = partial(_chain_pairs, StepKernel(config, premium_nodes))
+    pairs = partial(_chain_pairs, StepKernel(config, premium_nodes))
     run = run_discounted_sup(
         pairs, n_paths, seed, workers, chunk_size, n_max=max_steps,
         drop=barrier_level(0.0, config, barrier_multiple),

@@ -1,4 +1,4 @@
-"""Embedded chain at claim times and the paired continuous-path simulator.
+"""Scalar reference simulators and perpetuity helpers used by the tests.
 
 Between claims the reserve follows a linear SDE with piecewise-constant
 random coefficients, so the reserve at claim times obeys the random affine
@@ -12,26 +12,100 @@ accumulated (growth-adjusted) premium minus the claim.  Ruin can only
 happen at claim times, which is why the chain is sufficient for the ruin
 probability.
 
-The continuous simulator advances the same grid cells with exact per-cell
-exponential updates and a premium rule chosen so that, on identical draws,
-its value at a claim time reproduces the chain value to rounding error.
+These are one-interval-at-a-time implementations of that recursion: the
+oracles that the vectorized ``engine.StepKernel`` is checked against.
+Constant regimes resolve the interval on a grid of step ``grid_step``;
+piecewise regimes use their own step h.  The continuous simulator advances
+the same grid cells with exact per-cell exponential updates and a premium
+rule chosen so that, on identical draws, its value at a claim time
+reproduces the chain value to rounding error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from functools import partial
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .model import (ModelConfig, PremiumSpec, RegimeDraw, RngStreams,
-                    as_streams, draw_claim, draw_regime)
+from ruinlab.distributions import Distribution
+from ruinlab.engine import discounted_sup
+from ruinlab.errors import DistributionError
+from ruinlab.model import ModelConfig, PremiumSpec, RngStreams, as_streams
+from ruinlab.perpetuity import PairSampler, _untimed
+from ruinlab.ruin import barrier_level
 
-__all__ = ["EmbeddedStep", "ChainTrajectory", "ContinuousResult",
-           "embedded_step", "simulate_chain", "simulate_continuous",
-           "barrier_level"]
+DEFAULT_GRID_STEP = 1e-3
 
+
+# -- regime and claim draws ------------------------------------------------------
+
+@dataclass
+class RegimeDraw:
+    """One sampled quadruple restricted to its inter-claim interval.
+
+    The coefficient paths are piecewise constant (right-continuous) on the
+    cells of a grid covering [0, tau]; the final cell is prorated.  Wiener
+    increments carry variance equal to the cell widths.
+    """
+
+    tau: float
+    node_times: np.ndarray   # length m + 1, node_times[0] = 0, [-1] = tau
+    widths: np.ndarray       # length m
+    mu: np.ndarray           # per-cell drift values
+    sigma: np.ndarray        # per-cell volatility values
+    dW: np.ndarray           # per-cell Wiener increments
+    coarse: bool             # fewer than 4 cells cover the interval
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.widths)
+
+
+def _grid_for(tau: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    n = max(1, math.ceil(tau / h - 1e-12))
+    nodes = np.minimum(np.arange(n + 1) * h, tau)
+    nodes[-1] = tau
+    return nodes, np.diff(nodes)
+
+
+def draw_regime(config: ModelConfig, rng: Union[int, RngStreams],
+                grid_step: float = DEFAULT_GRID_STEP) -> RegimeDraw:
+    """Sample one quadruple (mu path, sigma path, tau, Wiener increments).
+
+    The interval length and coefficient values come from the ``regime``
+    stream, the Wiener increments from the ``brownian`` stream, so the
+    increments are independent of (mu, sigma, tau) by construction.
+    ``grid_step`` is the cell width for constant regimes.
+    """
+    if config.regime is None:
+        raise DistributionError("no-investment configuration has no regime draws")
+    streams = as_streams(rng)
+    tau = float(config.interarrival_dist.sample(streams.regime))
+    spec = config.regime
+    h = spec.h if spec.mode == "piecewise" else grid_step
+    nodes, widths = _grid_for(tau, h)
+    m = len(widths)
+    if spec.mode == "constant":
+        mu0, hs0 = spec.theta.sample(streams.regime)
+        mu = np.full(m, mu0)
+        sigma = np.full(m, math.sqrt(2.0 * hs0))
+    else:
+        mu = np.atleast_1d(spec.mu_law.sample(streams.regime, m))
+        sigma = np.atleast_1d(spec.sigma_law.sample(streams.regime, m))
+    dW = streams.brownian.standard_normal(m) * np.sqrt(widths)
+    return RegimeDraw(tau=tau, node_times=nodes, widths=widths, mu=mu,
+                      sigma=sigma, dW=dW, coarse=m < 4)
+
+
+def draw_claim(config: ModelConfig, rng: Union[int, RngStreams]) -> float:
+    """Positive claim size from the dedicated claims stream."""
+    return float(config.claim_dist.sample(as_streams(rng).claims))
+
+
+# -- the scalar step ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EmbeddedStep:
@@ -107,23 +181,10 @@ def classical_step(config: ModelConfig, claim: float, tau: float,
                         premium_integral=premium_integral, exp_integral=tau)
 
 
-def barrier_level(u: float, config: ModelConfig, barrier_multiple: float) -> float:
-    """Survival barrier used by the stopping rule.
-
-    Scaled off max(u, mean claim) so that small initial reserves still get a
-    meaningful barrier; the floor scales with money, which preserves the
-    exact monetary-scaling invariance of the ruin indicator.
-    """
-    floor = config.claim_dist.moment(1.0)
-    if not math.isfinite(floor) or floor <= 0.0:
-        floor = max(config.claim_dist.support()[0], 1.0)
-    return barrier_multiple * max(u, floor)
-
-
-def _draw_step(config: ModelConfig, streams: RngStreams, t_start: float
-               ) -> EmbeddedStep:
+def _draw_step(config: ModelConfig, streams: RngStreams, t_start: float,
+               grid_step: float = DEFAULT_GRID_STEP) -> EmbeddedStep:
     if config.has_investment:
-        regime = draw_regime(config, streams)
+        regime = draw_regime(config, streams, grid_step)
         claim = draw_claim(config, streams)
         return embedded_step(regime, claim, config.premium, t_start)
     tau = float(config.interarrival_dist.sample(streams.regime))
@@ -131,9 +192,12 @@ def _draw_step(config: ModelConfig, streams: RngStreams, t_start: float
     return classical_step(config, claim, tau, t_start)
 
 
+# -- scalar simulators ---------------------------------------------------------------
+
 def simulate_chain(u: float, config: ModelConfig, max_steps: int,
                    barrier_multiple: float, rng: Union[int, RngStreams],
-                   record_steps: bool = False) -> ChainTrajectory:
+                   record_steps: bool = False,
+                   grid_step: float = DEFAULT_GRID_STEP) -> ChainTrajectory:
     """Iterate the affine recursion until ruin, barrier escape, or step cap.
 
     A path above the barrier is declared survived (the positive mean log
@@ -153,7 +217,7 @@ def simulate_chain(u: float, config: ModelConfig, max_steps: int,
     reason = "max_steps"
     ruin_index = None
     for n in range(1, max_steps + 1):
-        step = _draw_step(config, streams, t_start)
+        step = _draw_step(config, streams, t_start, grid_step)
         s = step.lam * s + step.zeta
         t_start += step.tau
         values.append(s)
@@ -172,7 +236,9 @@ def simulate_chain(u: float, config: ModelConfig, max_steps: int,
 
 
 def simulate_continuous(u: float, config: ModelConfig, horizon: float,
-                        rng: Union[int, RngStreams]) -> ContinuousResult:
+                        rng: Union[int, RngStreams],
+                        grid_step: float = DEFAULT_GRID_STEP
+                        ) -> ContinuousResult:
     """Simulate the reserve path itself on the regime grids up to ``horizon``.
 
     Cells advance by the exact exponential update
@@ -193,7 +259,7 @@ def simulate_continuous(u: float, config: ModelConfig, horizon: float,
     ruined = False
     while t < horizon and not ruined:
         if config.has_investment:
-            regime = draw_regime(config, streams)
+            regime = draw_regime(config, streams, grid_step)
             claim = draw_claim(config, streams)
             growth = np.exp((regime.mu - 0.5 * regime.sigma ** 2) * regime.widths
                             + regime.sigma * regime.dW)
@@ -224,3 +290,53 @@ def simulate_continuous(u: float, config: ModelConfig, horizon: float,
     return ContinuousResult(min_value=min_value, ruined=ruined,
                             n_claims=n_claims,
                             claim_time_values=np.asarray(claim_values))
+
+
+# -- perpetuity helpers --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PerpetuityPair:
+    """One multiplier/increment pair; multipliers must be positive."""
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if self.a <= 0:
+            raise ValueError("multiplier must be > 0")
+
+
+@dataclass(frozen=True)
+class PerpetuitySample:
+    value: float
+    n_terms: int
+    converged: bool
+
+
+def _const_pair(a: float, b: float, streams: RngStreams, n: int):
+    return np.full(n, a), np.full(n, b)
+
+
+def deterministic_pair_sampler(pair: PerpetuityPair) -> PairSampler:
+    return partial(_const_pair, pair.a, pair.b)
+
+
+def _iid_pair(m_dist: Distribution, q_dist: Distribution,
+              streams: RngStreams, n: int):
+    m = np.atleast_1d(m_dist.sample(streams.regime, n))
+    q = np.atleast_1d(q_dist.sample(streams.claims, n))
+    return m, q
+
+
+def iid_pair_sampler(m_dist: Distribution, q_dist: Distribution) -> PairSampler:
+    """Independent multiplier and increment laws (test harness helper)."""
+    return partial(_iid_pair, m_dist, q_dist)
+
+
+def sample_R(pair_sampler: PairSampler, n_max: int, rel_tol: float,
+             rng: Union[int, RngStreams]) -> PerpetuitySample:
+    """Single draw of the increasing perpetuity."""
+    run = discounted_sup(as_streams(rng), 1,
+                         pairs=partial(_untimed, pair_sampler), n_max=n_max,
+                         rel_tol=rel_tol)
+    return PerpetuitySample(float(run.total[0]), int(run.n_terms[0]),
+                            bool(run.stopped[0]))

@@ -100,9 +100,11 @@ def test_unknown_key_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("block, value, path, key", [
     ("validate", {"suite": "quick"}, "$", "validate"),
     ("output", {"path": "out/run", "format": "csv"}, "$.output", "format"),
-], ids=["validate", "output"])
+    ("model", dict(BETA2["model"], grid_step=1e-3), "$.model", "grid_step"),
+], ids=["validate", "output", "grid_step"])
 def test_unread_schema_fields_rejected(block, value, path, key):
-    # validate.suite and output.format were accepted and never read
+    # validate.suite, output.format and model.grid_step were accepted and
+    # never read by the library
     with pytest.raises(ConfigError) as err:
         parse_experiment(dict(BETA2, **{block: value}))
     assert err.value.field == path
@@ -164,8 +166,16 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert one == (tmp_path / "env3.csv").read_bytes()
 
 
-def test_simulate_dump_columns(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BETA2)
+PIECEWISE = dict(BETA2, model=dict(
+    BETA2["model"], mu_lower=0.05, sigma_upper=0.25,
+    regime={"mode": "piecewise", "h": 0.25,
+            "mu": {"kind": "uniform", "lo": 0.05, "hi": 0.07},
+            "sigma": {"kind": "uniform", "lo": 0.15, "hi": 0.25}}))
+
+
+@pytest.mark.parametrize("doc", [BETA2, PIECEWISE], ids=["beta2", "piecewise"])
+def test_simulate_dump_columns(tmp_path, capsys, doc):
+    cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--config", cfg, "--u", "5", "--steps", "10",
                  "--seed", "3", "--dump", str(out)]) == 0
@@ -176,6 +186,12 @@ def test_simulate_dump_columns(tmp_path, capsys):
     row = lines[2].split(",")
     lam, nu = float(row[2]), float(row[4])
     assert lam == pytest.approx(math.exp(-nu), rel=1e-9)  # 12-digit CSV cells
+
+
+def test_simulate_rejects_negative_reserve(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BETA2)
+    assert main(["simulate", "--config", cfg, "--u", "-1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "config"
 
 
 def test_perpetuity_command(tmp_path, capsys):

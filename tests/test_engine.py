@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ruinlab import (Distribution, ModelConfig, PremiumSpec, RegimeSpec,
-                     RngStreams, ThetaLaw)
-from ruinlab.engine import StepKernel
+                     RngStreams, ThetaLaw, sample_nu)
+from ruinlab.engine import _BLOCK_FLOATS, StepKernel
+from oracles import _draw_step
+from test_ruin import piecewise_cfg
 
 
 def _bridge_reference(kernel, streams, n, tau, mu, hs, sigma, z, t_start):
@@ -119,3 +122,49 @@ def test_step_allocates_no_full_width_bridge_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _assert_matches_oracle(cfg, n_rows, calls, t0):
+    """``calls`` kernel samples of ``n_rows`` rows against the scalar step,
+    row by row, on twin streams; row i's premium clock is t0 + i / 2."""
+    kernel = StepKernel(cfg)
+    ours, ref = RngStreams.from_seed(23), RngStreams.from_seed(23)
+    clock = t0 + 0.5 * np.arange(n_rows)
+    for _ in range(calls):
+        blk = kernel.sample(ours, n_rows, t_start=clock,
+                            need_exp_integral=True)
+        steps = [_draw_step(cfg, ref, float(c)) for c in clock]
+        got = np.c_[blk.tau, blk.nu, blk.zeta, blk.exp_integral]
+        want = [[s.tau, s.nu, s.zeta, s.exp_integral] for s in steps]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    for name in ("claims", "regime", "brownian"):
+        assert getattr(ours, name).random() == getattr(ref, name).random()
+
+
+@pytest.mark.parametrize("premium, t0", [
+    (PremiumSpec.constant(0.1), 0.0),
+    (PremiumSpec.exponential_decay(0.1, -0.05), 7.5),
+], ids=["constant", "exponential_decay"])
+def test_piecewise_step_matches_scalar_oracle(premium, t0):
+    # one row consumes the three streams in the scalar step's order
+    _assert_matches_oracle(replace(piecewise_cfg(), premium=premium), 1, 200,
+                           t0)
+
+
+def test_piecewise_blocks_match_scalar_oracle_row_by_row():
+    # With fixed node values only tau, the increments and the claims are
+    # drawn, in the same order for one wide sample as for one row at a
+    # time; ~4.5 cells a row put 10,000 rows across three cell blocks.
+    cfg = replace(piecewise_cfg(), premium=PremiumSpec.exponential_decay(
+        0.1, -0.05), regime=RegimeSpec.piecewise(
+            0.25, Distribution.deterministic(0.06),
+            Distribution.deterministic(0.2)))
+    assert 10_000 * 4 > 2 * _BLOCK_FLOATS
+    _assert_matches_oracle(cfg, 10_000, 1, 3.0)
+
+
+def test_piecewise_nu_mean_is_minus_log_drift():
+    cfg = piecewise_cfg()
+    nu = sample_nu(cfg, 1 << 16, 5)
+    se = nu.std(ddof=1) / math.sqrt(len(nu))
+    assert abs(nu.mean() + cfg.expected_log_drift()) < 4.0 * se

@@ -5,7 +5,8 @@ import pytest
 
 from ruinlab import (Distribution, DistributionError, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, RngStreams,
-                     ThetaLaw, draw_claim, draw_regime)
+                     ThetaLaw)
+from oracles import draw_claim, draw_regime
 
 
 def beta2_cfg(**overrides):
@@ -23,10 +24,6 @@ class TestValidation:
     def test_premium_exceeding_bound(self):
         with pytest.raises(DistributionError):
             beta2_cfg(premium=PremiumSpec.constant(0.2))
-
-    def test_zero_grid_step(self):
-        with pytest.raises(DistributionError):
-            beta2_cfg(grid_step=0.0)
 
     def test_interarrival_must_be_positive(self):
         with pytest.raises(DistributionError):
@@ -86,9 +83,8 @@ class TestDraws:
         assert not draw.coarse
 
     def test_coarse_grid_flag(self):
-        cfg = beta2_cfg(grid_step=1.0,
-                        interarrival_dist=Distribution.deterministic(2.0))
-        assert draw_regime(cfg, 0).coarse
+        cfg = beta2_cfg(interarrival_dist=Distribution.deterministic(2.0))
+        assert draw_regime(cfg, 0, grid_step=1.0).coarse
 
     def test_seeded_determinism(self):
         cfg = beta2_cfg()
@@ -98,10 +94,10 @@ class TestDraws:
         assert np.array_equal(a.dW, b.dW)
 
     def test_wiener_increment_variance(self):
-        cfg = beta2_cfg(interarrival_dist=Distribution.deterministic(1.0),
-                        grid_step=0.01)
+        cfg = beta2_cfg(interarrival_dist=Distribution.deterministic(1.0))
         streams = RngStreams.from_seed(4)
-        incs = np.concatenate([draw_regime(cfg, streams).dW for _ in range(200)])
+        incs = np.concatenate([draw_regime(cfg, streams, grid_step=0.01).dW
+                               for _ in range(200)])
         assert abs(incs.var() - 0.01) < 0.001
 
     def test_claim_stream_isolated_from_regime(self):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ruinlab import (Distribution, EstimationError, HypothesisViolation,
-                     ModelConfig, PerpetuityPair, PremiumSpec, RegimeSpec,
-                     ThetaLaw, deterministic_pair_sampler, goldie_constant,
-                     iid_pair_sampler, ks_fixed_point, model_pair_sampler,
-                     sample_R, sample_R_values, sample_Rbar_values,
-                     sample_sup_values)
+                     ModelConfig, PremiumSpec, RegimeSpec, ThetaLaw,
+                     goldie_constant, ks_fixed_point, model_pair_sampler,
+                     sample_R_values, sample_Rbar_values, sample_sup_values)
+from oracles import (PerpetuityPair, deterministic_pair_sampler,
+                     iid_pair_sampler, sample_R)
 
 
 def beta2_cfg(c=0.1):

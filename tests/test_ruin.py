@@ -24,7 +24,7 @@ def piecewise_cfg():
         premium=PremiumSpec.constant(0.1),
         regime=RegimeSpec.piecewise(0.25, Distribution.uniform(0.05, 0.07),
                                     Distribution.uniform(0.15, 0.25)),
-        mu_lower=0.05, sigma_upper=0.25, c_bar=0.1, grid_step=0.25)
+        mu_lower=0.05, sigma_upper=0.25, c_bar=0.1)
 
 
 def classical_cfg(c=2.0):
