@@ -25,7 +25,7 @@ import numpy as np
 from . import perpetuity as perp
 from .config_schema import load_experiment
 from .errors import ConfigError, HypothesisViolation, RuinlabError
-from .lundberg import lundberg_report, q_plus_compute, classify_endpoint
+from .lundberg import lundberg_report
 from .engine import StepKernel
 from .model import RngStreams
 from .ruin import barrier_level, bounds_check, estimate_psi_grid, fit_tail
@@ -103,18 +103,12 @@ def cmd_lundberg(args) -> int:
                              mc_samples=block.get("mc_samples", 1_000_000),
                              seed=_resolve_seed(args, exp))
     doc = report.to_dict()
-    cfg = exp.model
-    if cfg.has_investment and cfg.regime.mode == "constant":
-        endpoint = cfg.interarrival_dist.mgf_endpoint()
-        if math.isfinite(endpoint.q_max):
-            geom = report.geometry or q_plus_compute(cfg.regime.theta,
-                                                     endpoint.q_max)
-            doc["q_plus"] = geom.q_plus
-            doc["touching_points"] = [list(p) for p in geom.touching_points]
-            verdict = classify_endpoint(geom, cfg.interarrival_dist,
-                                        delta=endpoint.q_max / 2.0)
-            doc["endpoint_verdict"] = verdict.verdict
-            doc["endpoint_inconclusive"] = verdict.inconclusive
+    if report.geometry is not None:
+        doc["q_plus"] = report.geometry.q_plus
+        doc["touching_points"] = [list(p)
+                                  for p in report.geometry.touching_points]
+        doc["endpoint_verdict"] = report.endpoint.verdict
+        doc["endpoint_inconclusive"] = report.endpoint.inconclusive
     _dump_json(doc, _out_base(args, exp))
     beta = "none" if report.beta is None else f"{report.beta:.10g}"
     print(f"lundberg: beta={beta} q_nu={report.q_nu:.6g} "
@@ -144,13 +138,18 @@ def cmd_ruin(args) -> int:
     grid = ([float(x) for x in args.u.split(",")] if args.u
             else [float(x) for x in block.get("u_grid", [10, 30, 100, 300])])
     n_paths = args.paths or block.get("n_paths", 100_000)
+    if any(u < 0 for u in grid):
+        raise ConfigError("initial reserves must be >= 0",
+                          "--u" if args.u else "$.ruin.u_grid")
+    if n_paths < 100:
+        raise ConfigError("need at least 100 paths",
+                          "--paths" if args.paths else "$.ruin.n_paths")
     seed = _resolve_seed(args, exp)
     ests = estimate_psi_grid(
         grid, exp.model, n_paths,
         max_steps=block.get("max_steps", 10_000),
         barrier_multiple=block.get("barrier_multiple", 1_000.0),
-        seed=seed, workers=args.workers,
-        premium_nodes=block.get("premium_nodes", 8))
+        seed=seed, workers=args.workers)
     base = _out_base(args, exp)
     rows = [[e.u, e.psi_hat, e.ci_halfwidth, e.censored_fraction]
             for e in ests]
@@ -184,6 +183,10 @@ def cmd_perpetuity(args) -> int:
     exp = load_experiment(args.config)
     block = exp.block("perpetuity")
     n = args.samples or block.get("samples", 100_000)
+    if n < 10_000:
+        raise ConfigError(
+            "need at least 10,000 samples for the KS check",
+            "--samples" if args.samples else "$.perpetuity.samples")
     seed = _resolve_seed(args, exp)
     cfg = exp.model
     report = lundberg_report(cfg, seed=seed)

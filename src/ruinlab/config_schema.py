@@ -202,7 +202,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     _BLOCK_FIELDS = {
         "lundberg": {"tol": "number", "method": "str", "mc_samples": "int"},
         "ruin": {"u_grid": "list", "n_paths": "int", "max_steps": "int",
-                 "barrier_multiple": "number", "premium_nodes": "int"},
+                 "barrier_multiple": "number"},
         "perpetuity": {"samples": "int", "rel_tol": "number", "n_max": "int"},
     }
     for name, fields in _BLOCK_FIELDS.items():

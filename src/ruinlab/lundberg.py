@@ -17,8 +17,11 @@ sits near the touching ray.  The gap variable
 
     H = q_tau + q_plus mu - q_plus (q_plus + 1) sigma^2/2  >= 0
 
-captures that concentration: phi_nu at its endpoint is infinite exactly
-when the integral of phi_tau(q_tau - h) against the law of H diverges at 0.
+captures that concentration: phi_nu(q_plus) = E phi_tau(q_tau - H) is
+infinite exactly when that integral diverges at H = 0.
+``classify_endpoint`` evaluates it once per gap law: exact sums for finite
+Theta, dyadic shells for the zeta series and for a polygon's level
+density, and a sampled power fit for product laws (flagged heuristic).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import integrate
@@ -49,6 +52,9 @@ _SERIES_J_CAP = 1 << 22
 _BLOCK_CONVERGE = 0.70
 _BLOCK_DIVERGE = 0.95
 _POWER_FIT_MARGIN = 0.05
+_POWER_FIT_SAMPLES = 200_000
+_POWER_FIT_SEED = 0
+_POLYGON_SHELLS = 18
 
 
 def u_vector(q: float) -> Tuple[float, float]:
@@ -69,7 +75,8 @@ class HLaw:
     """Law of the tangent gap H, in whichever form the support shape allows.
 
     ``discrete``: finitely many atoms; ``series``: countable atoms given by
-    vectorized index functions; ``sampler``: draw-only access.
+    vectorized index functions; ``polygon``: a density with kinks at the
+    vertex gaps, also sampleable; ``sampler``: draw-only access.
     """
 
     kind: str
@@ -77,6 +84,8 @@ class HLaw:
     h_fn: Optional[Callable] = None        # j-array -> h-array (nonincreasing)
     p_fn: Optional[Callable] = None
     sampler: Optional[Callable] = None     # (rng, n) -> h-array
+    density: Optional[Callable] = None     # polygon: h -> density of H
+    kinks: tuple = ()                      # polygon: sorted vertex gaps
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "discrete":
@@ -122,6 +131,7 @@ class PhiNuEstimate:
 class EndpointVerdict:
     verdict: str                 # "endpoint_infinite" | "endpoint_finite"
     integral_value: float        # the (0, delta] integral; inf when divergent
+    head_value: float = 0.0      # the integral over H > delta
     inconclusive: bool = False
     heuristic: bool = False
 
@@ -135,8 +145,10 @@ class LundbergReport:
     ci_halfwidth: Optional[float]
     hypothesis_flags: dict
     status: str                        # "root" | "no_root"
-    # tangent geometry of the analytic route, kept out of to_dict
+    # tangent geometry and endpoint verdict of the analytic route, kept out
+    # of to_dict
     geometry: Optional[TangentGeometry] = field(default=None, compare=False)
+    endpoint: Optional[EndpointVerdict] = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -216,7 +228,15 @@ def _build_h_law(theta: ThetaLaw, q_plus: float, q_tau: float) -> HLaw:
         return HLaw("series",
                     h_fn=partial(_h_series_values, theta, q_plus, q_tau),
                     p_fn=theta.prob_fn)
-    return HLaw("sampler", sampler=partial(_h_from_theta, theta, q_plus, q_tau))
+    sampler = partial(_h_from_theta, theta, q_plus, q_tau)
+    if theta.kind == "polytope_uniform":
+        verts = np.asarray(theta.vertices)
+        level = _polygon_level_density(verts, q_plus)
+        kinks = q_tau - _inner(q_plus, verts[:, 0], verts[:, 1])
+        return HLaw("polygon", sampler=sampler,
+                    density=lambda h: level(q_tau - h),
+                    kinks=tuple(sorted(set(kinks.tolist()))))
+    return HLaw("sampler", sampler=sampler)
 
 
 def _h_series_values(theta: ThetaLaw, q_plus: float, q_tau: float,
@@ -260,7 +280,7 @@ def _phi_nu_countable(theta, tau_dist, q, q_tau):
             return math.inf
         if sup >= q_tau - _TOUCH_TOL:
             # boundary: accumulation exactly on the endpoint ray
-            return _endpoint_series_value(theta, tau_dist, q, q_tau)
+            return _boundary_value(theta, tau_dist, q, q_tau)
     # clean region: bounded integrand, sum with a tail bound; the unsummed
     # tail concentrates at the accumulation points, so crediting it with the
     # limit value leaves an error of order tail * (last term - limit value)
@@ -303,7 +323,7 @@ def _phi_nu_polytope(theta, tau_dist, q, q_tau):
         if t_max > q_tau + _TOUCH_TOL:
             return math.inf
         if t_max >= q_tau - _TOUCH_TOL:
-            return _endpoint_polytope_value(theta, tau_dist, q, q_tau)
+            return _boundary_value(theta, tau_dist, q, q_tau)
     density = _polygon_level_density(verts, q)
     val, _ = integrate.quad(lambda t: tau_dist.mgf(t) * density(t),
                             t_min, t_max, limit=400,
@@ -365,36 +385,12 @@ def _polygon_level_density(verts: np.ndarray, q: float) -> Callable[[float], flo
         if len(pts) < 2:
             return 0.0
         arr = np.array(pts)
-        i = np.argmax(((arr - arr[0]) ** 2).sum(axis=1))
-        length = float(np.linalg.norm(arr[i] - arr[0]))
-        for j in range(len(arr)):
-            for k in range(j + 1, len(arr)):
-                length = max(length, float(np.linalg.norm(arr[j] - arr[k])))
-        return length
+        return float(np.max(np.hypot(*(arr[:, None] - arr[None]).T)))
 
     return lambda t: chord(t) / (area * norm_d)
 
 
 # -- endpoint values and the dichotomy --------------------------------------------
-
-def _dyadic_verdict(blocks: Sequence[float]) -> Tuple[str, bool]:
-    """Classify a shell-sum sequence: geometric decay means a finite limit.
-
-    Returns (verdict, inconclusive).  Ratios hugging 1 signal divergence;
-    the in-between band is decided toward divergence (a ratio exactly 1 is
-    the harmonic boundary, which diverges) but flagged.
-    """
-    b = [v for v in blocks if v > 0.0]
-    if len(b) < 4:
-        return ("endpoint_finite", True) if not b else ("endpoint_infinite", True)
-    ratios = np.array(b[1:]) / np.array(b[:-1])
-    r = float(np.median(ratios[-6:]))
-    if r <= _BLOCK_CONVERGE:
-        return "endpoint_finite", False
-    if r >= _BLOCK_DIVERGE:
-        return "endpoint_infinite", False
-    return ("endpoint_infinite", True) if r >= 0.825 else ("endpoint_finite", True)
-
 
 def _series_blocks(h_law: HLaw, tau_dist, q_tau, delta, n_shells=15):
     """Shell sums of p_j phi_tau(q_tau - h_j) over h in dyadic bands of
@@ -425,59 +421,93 @@ def _series_blocks(h_law: HLaw, tau_dist, q_tau, delta, n_shells=15):
     return shells, head, zero_mass
 
 
-def _endpoint_series_value(theta, tau_dist, q_plus, q_tau):
-    geometry = TangentGeometry(q_plus=q_plus, q_tau=q_tau, touching_points=(),
-                               h_law=_build_h_law(theta, q_plus, q_tau))
-    verdict = classify_endpoint(geometry, tau_dist, delta=q_tau / 2.0)
-    if verdict.verdict == "endpoint_infinite":
-        return math.inf
-    shells, head, _ = _series_blocks(geometry.h_law, tau_dist, q_tau,
-                                     q_tau / 2.0)
-    return head + _geometric_tail_total(shells)
+def _shell_verdict(shells: np.ndarray, head: float) -> EndpointVerdict:
+    """Classify dyadic shell sums: geometric decay means a finite limit.
 
-
-def _geometric_tail_total(shells: np.ndarray) -> float:
+    Ratios hugging 1 signal divergence; the in-between band is decided
+    toward divergence (a ratio exactly 1 is the harmonic boundary, which
+    diverges) but flagged inconclusive.  A finite sum is closed with the
+    geometric tail of its last two shells.
+    """
     pos = shells[shells > 0]
+    if len(pos) < 4:
+        finite, inconclusive = len(pos) == 0, True
+    else:
+        r = float(np.median((pos[1:] / pos[:-1])[-6:]))
+        finite, inconclusive = r < 0.825, _BLOCK_CONVERGE < r < _BLOCK_DIVERGE
+    if not finite:
+        return EndpointVerdict("endpoint_infinite", math.inf,
+                               inconclusive=inconclusive)
     total = float(np.sum(shells))
-    if len(pos) >= 2 and pos[-2] > 0:
-        r = pos[-1] / pos[-2]
-        if r < 1.0:
-            total += float(pos[-1]) * r / (1.0 - r)
-    return total
+    r = pos[-1] / pos[-2] if len(pos) >= 2 else 1.0
+    if r < 1.0:
+        total += float(pos[-1]) * r / (1.0 - r)
+    return EndpointVerdict("endpoint_finite", total, head,
+                           inconclusive=inconclusive)
 
 
-def _endpoint_polytope_value(theta, tau_dist, q_plus, q_tau):
-    density = _polygon_level_density(np.asarray(theta.vertices), q_plus)
-    verts = np.asarray(theta.vertices)
-    t_v = np.asarray(_inner(q_plus, verts[:, 0], verts[:, 1]), dtype=float)
-    t_min = float(t_v.min())
-    delta = (q_tau - t_min) / 4.0
-    head, _ = integrate.quad(lambda t: tau_dist.mgf(t) * density(t),
-                             t_min, q_tau - delta, limit=400)
-    shells = []
-    for k in range(0, 18):
-        a = q_tau - delta * 0.5 ** k
-        b = q_tau - delta * 0.5 ** (k + 1)
-        val, _ = integrate.quad(lambda t: tau_dist.mgf(t) * density(t),
-                                a, b, limit=200)
-        shells.append(val)
-    verdict, _ = _dyadic_verdict(shells)
-    if verdict == "endpoint_infinite":
-        return math.inf
-    return head + _geometric_tail_total(np.asarray(shells))
+def _polygon_shells(h_law: HLaw, tau_dist, q_tau, delta):
+    """Quadrature of phi_tau(q_tau - h) f_H(h) over dyadic bands of
+    (0, delta], plus the head over h > delta."""
+    f = lambda h: tau_dist.mgf(q_tau - h) * h_law.density(h)
+    shells = np.array([
+        integrate.quad(f, delta * 0.5 ** (k + 1), delta * 0.5 ** k,
+                       limit=200)[0]
+        for k in range(_POLYGON_SHELLS)])
+    h_max = h_law.kinks[-1]
+    head = 0.0
+    if h_max > delta:
+        inside = [h for h in h_law.kinks if delta < h < h_max]
+        head, _ = integrate.quad(f, delta, h_max, limit=400,
+                                 points=inside or None)
+    return shells, head
+
+
+def _power_fit_verdict(h_law: HLaw, tau_dist, q_tau, delta
+                       ) -> EndpointVerdict:
+    """Local power fit of the sampled gap CDF near zero against the pole
+    order of the integrand; the value is the sample mean over all draws."""
+    rng = np.random.default_rng(_POWER_FIT_SEED)
+    h = h_law.sample(rng, _POWER_FIT_SAMPLES)
+    terms = np.where(h > 0, tau_dist.mgf(q_tau - h), 0.0)
+    near = h <= delta
+    integral = float(np.mean(np.where(near, terms, 0.0)))
+    head = float(np.mean(np.where(near, 0.0, terms)))
+    levels = delta * 0.5 ** np.arange(7)
+    counts = np.array([(h <= lv).sum() for lv in levels], dtype=float)
+    if counts[-1] < 30:
+        # too little mass near zero to fit; call it finite, flagged unless
+        # no draw fell in (0, delta] at all
+        return EndpointVerdict("endpoint_finite", integral, head,
+                               inconclusive=bool(counts[0] > 0),
+                               heuristic=True)
+    good = counts >= 30
+    rho, _ = np.polyfit(np.log(levels[good]),
+                        np.log(counts[good] / _POWER_FIT_SAMPLES), 1)
+    kappa = _integrand_growth_rate(tau_dist)
+    if rho <= kappa - _POWER_FIT_MARGIN:
+        return EndpointVerdict("endpoint_infinite", math.inf, heuristic=True)
+    if rho >= kappa + _POWER_FIT_MARGIN:
+        return EndpointVerdict("endpoint_finite", integral, head,
+                               heuristic=True)
+    # boundary band: the pure power boundary diverges; flag it
+    return EndpointVerdict("endpoint_infinite", math.inf,
+                           inconclusive=True, heuristic=True)
 
 
 def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
-                      delta: float, n_samples: int = 200_000, seed: int = 0
-                      ) -> EndpointVerdict:
-    """Decide whether the gap integral over (0, delta] diverges.
+                      delta: float) -> EndpointVerdict:
+    """Integrate phi_tau(q_tau - H) over the gap law in one pass.
 
-    Divergence means the step-multiplier transform blows up at its own
-    endpoint, which in turn guarantees the decay exponent exists.  Discrete
-    and countable gap laws are handled by exact sums (dyadic shell sums for
-    the countable case); continuous laws fall back to a local power fit of
-    the gap CDF against the integrand growth rate, and that path is flagged
-    heuristic.
+    The verdict says whether the integral diverges at H = 0, which is
+    whether the step-multiplier transform blows up at its own endpoint and
+    in turn guarantees that the decay exponent exists.  A finite verdict
+    carries the integral over (0, delta] (``integral_value``) and over
+    H > delta (``head_value``); their sum is phi_nu(q_plus).  Finite gap
+    laws are summed exactly, countable ones by dyadic shell sums, polygon
+    laws by quadrature of their level density over dyadic shells, and the
+    remaining continuous laws by a local power fit of the sampled gap CDF
+    against the pole order of the integrand, a path flagged heuristic.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -492,80 +522,46 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
 
     if h_law.kind == "discrete":
         h, w = np.array(h_law.atoms).T
-        near = h <= delta
-        if np.any(h[near] <= _TOUCH_TOL):
+        if np.any(h <= _TOUCH_TOL):
             return EndpointVerdict("endpoint_infinite", math.inf)
-        total = sum((w[near] * tau_dist.mgf(q_tau - h[near])).tolist(), 0.0)
-        return EndpointVerdict("endpoint_finite", total)
+        terms = w * tau_dist.mgf(q_tau - h)
+        near = h <= delta
+        return EndpointVerdict("endpoint_finite",
+                               sum(terms[near].tolist(), 0.0),
+                               sum(terms[~near].tolist(), 0.0))
 
     if h_law.kind == "series":
-        shells, _, zero_mass = _series_blocks(h_law, tau_dist, q_tau, delta)
+        shells, head, zero_mass = _series_blocks(h_law, tau_dist, q_tau, delta)
         if zero_mass > 0:
             return EndpointVerdict("endpoint_infinite", math.inf)
-        verdict, inconclusive = _dyadic_verdict(shells)
-        value = math.inf if verdict == "endpoint_infinite" \
-            else _geometric_tail_total(shells)
-        return EndpointVerdict(verdict, value, inconclusive=inconclusive)
+        return _shell_verdict(shells, head)
 
-    # continuous gap law: local power fit of F_H near zero
-    rng = np.random.default_rng(seed)
-    h = h_law.sample(rng, n_samples)
-    if np.min(h) < -1e-9:
-        raise EstimationError("gap variable sampled negative; geometry is off")
-    levels = delta * 0.5 ** np.arange(7)
+    if h_law.kind == "polygon":
+        return _shell_verdict(*_polygon_shells(h_law, tau_dist, q_tau, delta))
 
-    def gap_mean() -> float:
-        near = (h > 0) & (h <= delta)
-        return float(np.mean(np.where(near, tau_dist.mgf(q_tau - h), 0.0)))
-
-    counts = np.array([(h <= lv).sum() for lv in levels], dtype=float)
-    kappa = _integrand_growth_rate(tau_dist, q_tau, delta)
-    if counts[-1] < 30:
-        if counts[0] == 0:
-            return EndpointVerdict("endpoint_finite", 0.0, heuristic=True)
-        # too little mass near zero to fit; call it finite but flag it
-        return EndpointVerdict("endpoint_finite", gap_mean(),
-                               inconclusive=True, heuristic=True)
-    good = counts >= 30
-    rho, _ = np.polyfit(np.log(levels[good]), np.log(counts[good] / n_samples), 1)
-    if rho <= kappa - _POWER_FIT_MARGIN:
-        return EndpointVerdict("endpoint_infinite", math.inf, heuristic=True)
-    if rho >= kappa + _POWER_FIT_MARGIN:
-        return EndpointVerdict("endpoint_finite", gap_mean(), heuristic=True)
-    # boundary band: the pure power boundary diverges; flag it
-    return EndpointVerdict("endpoint_infinite", math.inf,
-                           inconclusive=True, heuristic=True)
+    return _power_fit_verdict(h_law, tau_dist, q_tau, delta)
 
 
-def _integrand_growth_rate(tau_dist, q_tau, delta) -> float:
-    """kappa with phi_tau(q_tau - h) ~ c h^(-kappa) near h = 0."""
-    if tau_dist.kind == "exponential":
-        return 1.0
-    if tau_dist.kind == "gamma":
-        return tau_dist.params[0]
-    hs = delta * 0.5 ** np.arange(2, 9)
-    vals = tau_dist.mgf(q_tau - hs)
-    slope, _ = np.polyfit(np.log(hs), np.log(vals), 1)
-    return float(-slope)
+def _integrand_growth_rate(tau_dist) -> float:
+    """kappa with phi_tau(q_tau - h) ~ c h^(-kappa) near h = 0: the pole
+    order of the MGF at its endpoint, 1 for exponential and the shape for
+    gamma (the only laws ``classify_endpoint`` accepts)."""
+    return 1.0 if tau_dist.kind == "exponential" else tau_dist.params[0]
 
 
-def endpoint_phi_value(theta: ThetaLaw, tau_dist: Distribution,
-                       geometry: TangentGeometry) -> float:
-    """phi_nu evaluated at its endpoint q_plus (may be inf)."""
-    q_tau = geometry.q_tau
-    h_law = geometry.h_law
-    if h_law.kind == "discrete":
-        h, w = np.array(h_law.atoms).T
-        if np.any(h <= _TOUCH_TOL):
-            return math.inf
-        return sum((w * tau_dist.mgf(q_tau - h)).tolist(), 0.0)
-    if h_law.kind == "series":
-        return _endpoint_series_value(theta, tau_dist, geometry.q_plus, q_tau)
-    if theta.kind == "polytope_uniform":
-        return _endpoint_polytope_value(theta, tau_dist, geometry.q_plus, q_tau)
-    verdict = classify_endpoint(geometry, tau_dist, delta=q_tau / 2.0)
-    return verdict.integral_value if verdict.verdict == "endpoint_finite" \
-        else math.inf
+def endpoint_phi_value(verdict: EndpointVerdict) -> float:
+    """phi_nu at its endpoint q_plus (may be inf), read off the verdict."""
+    if verdict.verdict == "endpoint_infinite":
+        return math.inf
+    return verdict.head_value + verdict.integral_value
+
+
+def _boundary_value(theta, tau_dist, q, q_tau):
+    """phi_nu at a q whose ray touches the support: the endpoint integral."""
+    geometry = TangentGeometry(q_plus=q, q_tau=q_tau, touching_points=(),
+                               h_law=_build_h_law(theta, q, q_tau))
+    return endpoint_phi_value(
+        classify_endpoint(geometry, tau_dist, delta=q_tau / 2.0))
 
 
 # -- Monte Carlo phi_nu ------------------------------------------------------------
@@ -710,9 +706,10 @@ def lundberg_report(config: ModelConfig, tol: float = 1e-10,
     """Full decay-exponent analysis for a model configuration.
 
     Constant-coefficient regimes get the analytic route: the tangent
-    geometry pins the transform endpoint, the endpoint value decides
-    existence, and bisection finds the root to ``tol``.  Anything else is
-    probed by Monte Carlo on a cached sample of nu draws.
+    geometry pins the transform endpoint, one ``classify_endpoint`` pass
+    gives the endpoint verdict and value (both kept on the report), the
+    value decides existence, and bisection finds the root to ``tol``.
+    Anything else is probed by Monte Carlo on a cached sample of nu draws.
     """
     ek = config.require_positive_drift()
     analytic = (config.has_investment and config.regime.mode == "constant"
@@ -724,25 +721,26 @@ def lundberg_report(config: ModelConfig, tol: float = 1e-10,
         theta = config.regime.theta
         endpoint = tau_dist.mgf_endpoint()
         q_tau = endpoint.q_max
-        geometry = None
+        geometry = verdict = None
         phi_end: Optional[float] = None
         if math.isfinite(q_tau):
             geometry = q_plus_compute(theta, q_tau)
             q_nu = geometry.q_plus
-            phi_end = endpoint_phi_value(theta, tau_dist, geometry)
+            verdict = classify_endpoint(geometry, tau_dist, delta=q_tau / 2.0)
+            phi_end = endpoint_phi_value(verdict)
             if phi_end <= 1.0:
                 return LundbergReport(
                     beta=None, q_nu=q_nu, phi_at_endpoint=phi_end,
                     method="analytic", ci_halfwidth=None,
                     hypothesis_flags=_flags(config, ek, None), status="no_root",
-                    geometry=geometry)
+                    geometry=geometry, endpoint=verdict)
         else:
             q_nu = math.inf
         report = solve_beta(partial(phi_nu_analytic, theta, tau_dist),
                             q_upper_hint=q_nu, tol=tol, q_nu=q_nu,
                             phi_at_endpoint=phi_end, method="analytic")
         return replace(report, hypothesis_flags=_flags(config, ek, report.beta),
-                       geometry=geometry)
+                       geometry=geometry, endpoint=verdict)
 
     nu = sample_nu(config, mc_samples, seed)
     cache: dict = {}

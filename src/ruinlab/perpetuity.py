@@ -37,8 +37,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 from scipy import stats
 
-from .engine import (DEFAULT_CHUNK_SIZE, DEFAULT_PREMIUM_NODES, StepKernel,
-                     run_discounted_sup)
+from .engine import DEFAULT_CHUNK_SIZE, StepKernel, run_discounted_sup
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig, RngStreams, as_streams
 
@@ -96,14 +95,13 @@ def _qbar_pair(kernel: StepKernel, streams: RngStreams, n: int):
     return m, qbar
 
 
-def qbar_pair_sampler(config: ModelConfig,
-                      premium_nodes: int = DEFAULT_PREMIUM_NODES) -> PairSampler:
+def qbar_pair_sampler(config: ModelConfig) -> PairSampler:
     """(M, Q_bar) with the premium capped at c_bar, for the lower bound.
 
     Q_bar = (claim - c_bar * growth integral) * M can take either sign, so
     the associated perpetuity is the running supremum of its partial sums.
     """
-    return partial(_qbar_pair, StepKernel(config, premium_nodes))
+    return partial(_qbar_pair, StepKernel(config))
 
 
 def _check_contraction(sampler: PairSampler, seed: int, n: int = 20_000):
@@ -167,11 +165,10 @@ def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
 def sample_Rbar_values(config: ModelConfig, n_samples: int, seed: int = 0,
                        n_max: int = DEFAULT_N_MAX,
                        rel_tol: float = DEFAULT_REL_TOL, workers: int = 1,
-                       chunk_size: int = DEFAULT_CHUNK_SIZE,
-                       premium_nodes: int = DEFAULT_PREMIUM_NODES
+                       chunk_size: int = DEFAULT_CHUNK_SIZE
                        ) -> PerpetuityBatch:
     """Supremum perpetuity for the premium-capped lower bound."""
-    return sample_sup_values(qbar_pair_sampler(config, premium_nodes),
+    return sample_sup_values(qbar_pair_sampler(config),
                              n_samples, seed, n_max, rel_tol, workers,
                              chunk_size)
 

@@ -40,8 +40,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import (DEFAULT_CHUNK_SIZE, DEFAULT_PREMIUM_NODES, StepKernel,
-                     run_discounted_sup, wilson_halfwidth)
+from .engine import (DEFAULT_CHUNK_SIZE, StepKernel, run_discounted_sup,
+                     wilson_halfwidth)
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig
 
@@ -113,8 +113,7 @@ def _chain_pairs(kernel, streams, t):
 def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
                       n_paths: int, max_steps: int = 10_000,
                       barrier_multiple: float = 1_000.0, seed: int = 0,
-                      workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                      premium_nodes: int = DEFAULT_PREMIUM_NODES
+                      workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
                       ) -> List[RuinEstimate]:
     """Coupled ruin-fraction estimates for every reserve level in the grid."""
     if n_paths < 100:
@@ -122,7 +121,7 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
     if any(u < 0 for u in u_grid):
         raise ValueError("initial reserves must be >= 0")
     u_grid = tuple(float(u) for u in u_grid)
-    pairs = partial(_chain_pairs, StepKernel(config, premium_nodes))
+    pairs = partial(_chain_pairs, StepKernel(config))
     run = run_discounted_sup(
         pairs, n_paths, seed, workers, chunk_size, n_max=max_steps,
         drop=barrier_level(0.0, config, barrier_multiple),
@@ -142,11 +141,10 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
 def estimate_psi(u: float, config: ModelConfig, n_paths: int,
                  max_steps: int = 10_000, barrier_multiple: float = 1_000.0,
                  seed: int = 0, workers: int = 1,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 premium_nodes: int = DEFAULT_PREMIUM_NODES) -> RuinEstimate:
+                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> RuinEstimate:
     """Ruin-probability estimate at a single initial reserve."""
     return estimate_psi_grid([u], config, n_paths, max_steps, barrier_multiple,
-                             seed, workers, chunk_size, premium_nodes)[0]
+                             seed, workers, chunk_size)[0]
 
 
 # -- classical closed form --------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ruinlab import ConfigError, cli, lundberg, parse_experiment
+from ruinlab import ConfigError, lundberg, parse_experiment
 from ruinlab.cli import main
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
@@ -55,10 +55,18 @@ def test_lundberg_reuses_report_geometry(tmp_path, capsys, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
+    sums = []
+    real_blocks = lundberg._series_blocks
+
+    def counted_blocks(*args, **kwargs):
+        sums.append(args)
+        return real_blocks(*args, **kwargs)
+
     monkeypatch.setattr(lundberg, "q_plus_compute", counted)
-    monkeypatch.setattr(cli, "q_plus_compute", counted)
+    monkeypatch.setattr(lundberg, "_series_blocks", counted_blocks)
     assert main(["lundberg", "--config", str(GOLDEN_CONFIG)]) == 0
     assert len(calls) == 1
+    assert len(sums) == 1      # one pass over the countable series
     assert json.loads(capsys.readouterr().out) == {
         "beta": None, "ci_halfwidth": None, "endpoint_inconclusive": False,
         "endpoint_verdict": "endpoint_finite",
@@ -101,10 +109,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("validate", {"suite": "quick"}, "$", "validate"),
     ("output", {"path": "out/run", "format": "csv"}, "$.output", "format"),
     ("model", dict(BETA2["model"], grid_step=1e-3), "$.model", "grid_step"),
-], ids=["validate", "output", "grid_step"])
+    ("ruin", {"premium_nodes": 8}, "$.ruin", "premium_nodes"),
+], ids=["validate", "output", "grid_step", "premium_nodes"])
 def test_unread_schema_fields_rejected(block, value, path, key):
-    # validate.suite, output.format and model.grid_step were accepted and
-    # never read by the library
+    # validate.suite, output.format, model.grid_step and ruin.premium_nodes
+    # were accepted and never read by the library (or only ever set to the
+    # default)
     with pytest.raises(ConfigError) as err:
         parse_experiment(dict(BETA2, **{block: value}))
     assert err.value.field == path
@@ -134,6 +144,23 @@ def test_ruin_rejects_negative_loading(tmp_path, capsys):
     assert main(["ruin", "--config", cfg, "--u", "5", "--paths", "1000"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["condition"] == "safety_loading"
+
+
+@pytest.mark.parametrize("extra, argv, field", [
+    ({}, ["ruin", "--paths", "50"], "--paths"),
+    ({}, ["ruin", "--u=5,-1"], "--u"),
+    ({"ruin": {"n_paths": 50}}, ["ruin"], "$.ruin.n_paths"),
+    ({"ruin": {"u_grid": [10, -1]}}, ["ruin"], "$.ruin.u_grid"),
+    ({}, ["perpetuity", "--samples", "5000"], "--samples"),
+    ({"perpetuity": {"samples": 5000}}, ["perpetuity"],
+     "$.perpetuity.samples"),
+], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples"])
+def test_out_of_range_values_exit_2(tmp_path, capsys, extra, argv, field):
+    cfg = write_cfg(tmp_path, dict(BETA2, **extra))
+    assert main(argv + ["--config", cfg, "--workers", "1"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "config"
+    assert doc["field"] == field
 
 
 def test_ruin_outputs_deterministic(tmp_path, capsys):

@@ -8,10 +8,13 @@ from ruinlab import (Distribution, HypothesisViolation, ModelConfig,
                      PremiumSpec, RegimeSpec, ThetaLaw, lundberg_report,
                      phi_nu_analytic, phi_nu_mc, q_plus_compute, sample_nu,
                      solve_beta, classify_endpoint, u_vector, zeta_regime_law)
-from ruinlab.lundberg import _touch_values
+from ruinlab.lundberg import _touch_values, endpoint_phi_value
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EXP1 = Distribution.exponential(1.0)
+GAMMA2 = Distribution.gamma(2.0, 1.0)
+SQUARE = ThetaLaw.polytope_uniform([(0, 0), (1, 0), (0, 1), (1, 1)])
+TRIANGLE = ThetaLaw.polytope_uniform([(0, 0), (1, 0), (0.2, 0.8)])
 
 
 def _touch_value(x: float, y: float, q_tau: float) -> float:
@@ -244,7 +247,7 @@ class TestTheorem2:
             [(0, 0), (1, 0), (0, 1), (1, 1)]), 1.0)
         verdict = classify_endpoint(geom, EXP1, delta=0.3)
         assert verdict.verdict == "endpoint_finite"
-        assert verdict.heuristic
+        assert not verdict.heuristic
 
     def test_rotated_square_edge_on_ray_is_infinite(self):
         # rotate the unit square about (0, 1) until its top edge lies on the
@@ -261,6 +264,27 @@ class TestTheorem2:
         assert geom.q_plus == pytest.approx(GOLDEN, rel=1e-9)
         verdict = classify_endpoint(geom, EXP1, delta=0.3)
         assert verdict.verdict == "endpoint_infinite"
+
+    def test_gamma2_triangle_vertex_touch_is_infinite(self):
+        # a vertex touch puts mass ~ h^2 below gap h, and Gamma(2) has a
+        # double pole, so the gap integral diverges logarithmically
+        geom = q_plus_compute(TRIANGLE, 1.0)
+        verdict = classify_endpoint(geom, GAMMA2, delta=0.5)
+        assert verdict.verdict == "endpoint_infinite"
+        assert not verdict.inconclusive and not verdict.heuristic
+        assert endpoint_phi_value(verdict) == math.inf
+
+    @pytest.mark.parametrize("law, want", [(SQUARE, 1.74101),
+                                           (TRIANGLE, 1.46755)],
+                             ids=["square", "triangle"])
+    def test_polygon_endpoint_value_matches_quadrature(self, law, want):
+        geom = q_plus_compute(law, 1.0)
+        verdict = classify_endpoint(geom, EXP1, delta=0.5)
+        assert verdict.verdict == "endpoint_finite"
+        assert not verdict.inconclusive and not verdict.heuristic
+        below = phi_nu_analytic(law, EXP1, geom.q_plus * (1.0 - 1e-6))
+        assert below == pytest.approx(want, rel=1e-5)
+        assert endpoint_phi_value(verdict) == pytest.approx(below, rel=1e-4)
 
     def test_requires_divergent_endpoint(self):
         geom = q_plus_compute(ThetaLaw.point_mass(0.0, 1.0), 1.0)
@@ -341,6 +365,21 @@ class TestSolveBeta:
         phi = lambda q: math.exp(-q + q * q / 2.0)
         rep = solve_beta(phi, q_upper_hint=math.inf, tol=1e-12)
         assert rep.beta == pytest.approx(2.0, abs=1e-9)
+
+    def test_product_box_endpoint_counts_mass_beyond_delta(self):
+        # phi_nu(q_plus) = 1.2207 > 1 only once the gaps above delta are
+        # counted; the (0, delta] part alone is 0.4434
+        law = ThetaLaw.product(Distribution.uniform(0.2, 0.25),
+                               Distribution.uniform(0.01, 0.02))
+        cfg = ModelConfig(
+            claim_dist=EXP1, interarrival_dist=EXP1,
+            premium=PremiumSpec.zero(), regime=RegimeSpec.constant(law),
+            mu_lower=0.2, sigma_upper=0.2, c_bar=0.0)
+        rep = lundberg_report(cfg, tol=1e-6)
+        assert rep.status == "root"
+        assert rep.beta == pytest.approx(12.513458, abs=1e-5)
+        assert rep.phi_at_endpoint == pytest.approx(1.2207, rel=0.03)
+        assert rep.endpoint.heuristic
 
     def test_monte_carlo_mode(self):
         cfg = constant_cfg(0.06, 0.02)
