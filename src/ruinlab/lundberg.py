@@ -20,8 +20,10 @@ sits near the touching ray.  The gap variable
 captures that concentration: phi_nu(q_plus) = E phi_tau(q_tau - H) is
 infinite exactly when that integral diverges at H = 0.
 ``classify_endpoint`` evaluates it once per gap law: exact sums for finite
-Theta, dyadic shells for the zeta series and for a polygon's level
-density, and a sampled power fit for product laws (flagged heuristic).
+Theta, the terms' decay exponent and ``theta.countable_sum`` (an exact head
+and an Euler-Maclaurin tail) for the zeta series, dyadic shells of a
+polygon's level density, and a sampled power fit for product laws (flagged
+heuristic).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .distributions import Distribution
 from .engine import StepKernel
 from .errors import DistributionError, EstimationError, HypothesisViolation
 from .model import ModelConfig, RngStreams, as_streams
-from .theta import ThetaLaw
+from .theta import SERIES_HEAD, ThetaLaw, countable_sum
 
 __all__ = [
     "u_vector", "phi_nu_analytic", "phi_nu_mc", "solve_beta",
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 _TOUCH_TOL = 1e-12
-_SERIES_J_CAP = 1 << 22
+_DECAY_TOL = 1e-9        # rounding slack on the series decay exponent
 _BLOCK_CONVERGE = 0.70
 _BLOCK_DIVERGE = 0.95
 _POWER_FIT_MARGIN = 0.05
@@ -252,83 +254,38 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
     the MGF endpoint with a divergent endpoint value."""
     if q == 0.0:
         return 1.0
-    endpoint = tau_dist.mgf_endpoint()
-    q_tau = endpoint.q_max
+    q_tau = tau_dist.mgf_endpoint().q_max
+    if theta.kind == "product":
+        return _phi_nu_product(theta, tau_dist, q, q_tau)
+    pts = theta.candidate_points()
+    t_v = _inner(q, pts[:, 0], pts[:, 1])
     if theta.kind == "finite":
-        pts = theta.candidate_points()
-        terms = tau_dist.mgf(_inner(q, pts[:, 0], pts[:, 1]))
+        terms = tau_dist.mgf(t_v)
         if np.isinf(terms).any():
             return math.inf
         probs = np.array([w for _, w in theta.atoms])
         return sum((probs * terms).tolist(), 0.0)
+    # countable atoms with their limit points, or polygon vertices: the
+    # functional peaks on them
+    t_max = float(np.max(t_v))
+    if t_max > q_tau + _TOUCH_TOL:
+        return math.inf
+    if t_max >= q_tau - _TOUCH_TOL:
+        # boundary: the support touches the endpoint ray
+        return _boundary_value(theta, tau_dist, q, q_tau)
     if theta.kind == "countable":
-        return _phi_nu_countable(theta, tau_dist, q, q_tau)
-    if theta.kind == "polytope_uniform":
-        return _phi_nu_polytope(theta, tau_dist, q, q_tau)
-    return _phi_nu_product(theta, tau_dist, q, q_tau)
-
-
-def _support_sup(theta: ThetaLaw, q: float) -> float:
-    pts = theta.candidate_points()
-    return float(np.max(_inner(q, pts[:, 0], pts[:, 1])))
-
-
-def _phi_nu_countable(theta, tau_dist, q, q_tau):
-    sup = _support_sup(theta, q)
-    if math.isfinite(q_tau):
-        if sup > q_tau + _TOUCH_TOL:
-            return math.inf
-        if sup >= q_tau - _TOUCH_TOL:
-            # boundary: accumulation exactly on the endpoint ray
-            return _boundary_value(theta, tau_dist, q, q_tau)
-    # clean region: bounded integrand, sum with a tail bound; the unsummed
-    # tail concentrates at the accumulation points, so crediting it with the
-    # limit value leaves an error of order tail * (last term - limit value)
-    bound = tau_dist.mgf(sup)
-    limit_phi = _limit_value(theta, tau_dist, q)
-    total = 0.0
-    covered = 0.0
-    j0 = 1
-    block = 1 << 12
-    while j0 < _SERIES_J_CAP:
-        j = np.arange(j0, j0 + block, dtype=float)
-        w = theta.prob_fn(j)
-        mu, hs = theta.point_fn(j)
-        vals = _inner(q, mu, hs)
-        terms = tau_dist.mgf(vals)
-        total += float(np.sum(w * terms))
-        covered += float(np.sum(w))
-        tail = max(0.0, 1.0 - covered)
-        drift_last = abs(float(terms[-1]) - limit_phi)
-        if (tail * bound <= 1e-14 * max(total, 1.0)
-                or tail * drift_last <= 1e-12 * max(total, 1.0)):
-            return total + tail * limit_phi
-        j0 += block
-        block *= 2
-    raise EstimationError("countable sum did not close below the atom cap")
-
-
-def _limit_value(theta, tau_dist, q):
-    if not theta.limit_points:
-        return 0.0
-    pts = np.array(theta.limit_points)
-    return float(np.max(tau_dist.mgf(_inner(q, pts[:, 0], pts[:, 1]))))
-
-
-def _phi_nu_polytope(theta, tau_dist, q, q_tau):
-    verts = np.asarray(theta.vertices)
-    t_v = np.asarray(_inner(q, verts[:, 0], verts[:, 1]), dtype=float)
-    t_min, t_max = float(t_v.min()), float(t_v.max())
-    if math.isfinite(q_tau):
-        if t_max > q_tau + _TOUCH_TOL:
-            return math.inf
-        if t_max >= q_tau - _TOUCH_TOL:
-            return _boundary_value(theta, tau_dist, q, q_tau)
-    density = _polygon_level_density(verts, q)
+        return _phi_nu_countable(theta, tau_dist, q)
+    density = _polygon_level_density(pts, q)
     val, _ = integrate.quad(lambda t: tau_dist.mgf(t) * density(t),
-                            t_min, t_max, limit=400,
+                            float(t_v.min()), t_max, limit=400,
                             points=sorted(set(t_v.tolist())))
     return val
+
+
+def _phi_nu_countable(theta, tau_dist, q):
+    """The clean region, below the endpoint ray: bounded terms, smooth in j."""
+    return math.fsum(countable_sum(
+        lambda j: theta.prob_fn(j) * tau_dist.mgf(_inner(q, *theta.point_fn(j)))))
 
 
 def _phi_nu_product(theta, tau_dist, q, q_tau):
@@ -392,33 +349,24 @@ def _polygon_level_density(verts: np.ndarray, q: float) -> Callable[[float], flo
 
 # -- endpoint values and the dichotomy --------------------------------------------
 
-def _series_blocks(h_law: HLaw, tau_dist, q_tau, delta, n_shells=15):
-    """Shell sums of p_j phi_tau(q_tau - h_j) over h in dyadic bands of
-    (0, delta], plus the exact head sum over h > delta and atom-at-zero mass."""
-    shells = np.zeros(n_shells)
-    head = 0.0
-    zero_mass = 0.0
-    lo_edge = delta * 0.5 ** n_shells
-    j0 = 1
-    block = 1 << 13
-    while j0 < _SERIES_J_CAP:
-        j = np.arange(j0, j0 + block, dtype=float)
-        h = np.asarray(h_law.h_fn(j), dtype=float)
-        w = np.asarray(h_law.p_fn(j), dtype=float)
-        zero_mass += float(np.sum(w[h <= _TOUCH_TOL]))
-        big = h > delta
-        if big.any():
-            head += sum((w[big] * tau_dist.mgf(q_tau - h[big])).tolist(), 0.0)
-        mid = (~big) & (h > _TOUCH_TOL)
-        if mid.any():
-            k = np.floor(np.log2(delta / h[mid])).astype(int)
-            k = np.clip(k, 0, n_shells - 1)
-            np.add.at(shells, k, w[mid] * tau_dist.mgf(q_tau - h[mid]))
-        if float(h[-1]) < lo_edge and h[0] >= h[-1]:
-            break
-        j0 += block
-        block = min(block * 2, 1 << 18)
-    return shells, head, zero_mass
+def _series_verdict(h_law: HLaw, tau_dist, q_tau, delta) -> EndpointVerdict:
+    """With p_j ~ j^-p, h_j ~ a j^-r and phi_tau(q_tau - h) ~ c h^-k, the
+    terms decay like j^-s, s = p - r k (p and r read off at J and 2J), and
+    their sum is finite iff s > 1.  The tail atoms gap below h_J <= delta."""
+    far = np.array([SERIES_HEAD, 2.0 * SERIES_HEAD])
+    p_far, h_far = h_law.p_fn(far), h_law.h_fn(far)
+    s = (math.log2(p_far[0] / p_far[1])
+         - _integrand_growth_rate(tau_dist) * math.log2(h_far[0] / h_far[1]))
+    h = h_law.h_fn(np.arange(1.0, SERIES_HEAD))
+    if s <= 1.0 + _DECAY_TOL or np.any(h <= _TOUCH_TOL):
+        return EndpointVerdict("endpoint_infinite", math.inf)
+    if delta < h_far[0]:
+        raise ValueError(f"delta is below the series gap h_J = {h_far[0]:.3g}")
+    terms = countable_sum(
+        lambda j: h_law.p_fn(j) * tau_dist.mgf(q_tau - h_law.h_fn(j)))
+    near = np.append(h <= delta, True)
+    return EndpointVerdict("endpoint_finite", math.fsum(terms[near]),
+                           math.fsum(terms[~near]))
 
 
 def _shell_verdict(shells: np.ndarray, head: float) -> EndpointVerdict:
@@ -504,9 +452,10 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     in turn guarantees that the decay exponent exists.  A finite verdict
     carries the integral over (0, delta] (``integral_value``) and over
     H > delta (``head_value``); their sum is phi_nu(q_plus).  Finite gap
-    laws are summed exactly, countable ones by dyadic shell sums, polygon
-    laws by quadrature of their level density over dyadic shells, and the
-    remaining continuous laws by a local power fit of the sampled gap CDF
+    laws are summed exactly; a countable series is finite iff its terms
+    decay like j^-s with s > 1, and is then summed by ``countable_sum``;
+    polygon laws integrate their level density over dyadic shells, and the
+    remaining continuous laws take a local power fit of the sampled gap CDF
     against the pole order of the integrand, a path flagged heuristic.
     """
     if delta <= 0:
@@ -531,10 +480,7 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
                                sum(terms[~near].tolist(), 0.0))
 
     if h_law.kind == "series":
-        shells, head, zero_mass = _series_blocks(h_law, tau_dist, q_tau, delta)
-        if zero_mass > 0:
-            return EndpointVerdict("endpoint_infinite", math.inf)
-        return _shell_verdict(shells, head)
+        return _series_verdict(h_law, tau_dist, q_tau, delta)
 
     if h_law.kind == "polygon":
         return _shell_verdict(*_polygon_shells(h_law, tau_dist, q_tau, delta))

@@ -12,26 +12,64 @@ Four support shapes are enough for every configuration the toolkit handles:
 
 The one countable family shipped with the package is the zeta-weighted
 family P(Theta = (1/j, 1 - 1/j)) = j^(-p) / zeta(p), j >= 1, whose support
-accumulates at (0, 1).
+accumulates at (0, 1).  Countable sums go through ``countable_sum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 from scipy.stats import zipf as _zipf
 
 from .distributions import Distribution
-from .errors import DistributionError
+from .errors import DistributionError, EstimationError
 
 __all__ = ["ThetaLaw", "zeta_regime_law"]
 
 Point = Tuple[float, float]
+
+SERIES_HEAD = 256        # J: countable sums add f(1), ..., f(J - 1) exactly
+
+
+@lru_cache(maxsize=1)
+def _series_nodes() -> Tuple[np.ndarray, np.ndarray]:
+    # j = 1, ..., J + 2, then x = J/t for 12-point Gauss-Legendre on the
+    # t-panels [2^-(k+1), 2^-k], k < 40, with the weights of dx = J/t^2 dt
+    g, w = np.polynomial.legendre.leggauss(12)
+    lo = 0.5 ** np.arange(1.0, 41.0)[:, None]
+    t = lo * (1.5 + 0.5 * g)
+    j = np.arange(1.0, SERIES_HEAD + 3.0)
+    return np.append(j, SERIES_HEAD / t), 0.5 * lo * w * SERIES_HEAD / t ** 2
+
+
+def countable_sum(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sum_{j >= 1} f(j) of a summand vectorized over float j, smooth in j
+    and decaying like a power, as parts for ``math.fsum``: the head terms
+    f(1), ..., f(J - 1), then the Euler-Maclaurin tail (DLMF 2.10.1)
+
+        Sum_{j >= J} f(j) = int_J^inf f + f(J)/2 - f'(J)/12 + f'''(J)/720,
+
+    the integral by Gauss-Legendre in t = J/x, closed below t = 2^-40 by the
+    geometric continuation of the last two panels (exact for a pure power),
+    the derivatives by central differences at unit step.  f must be finite
+    and accurate out to j = J 2^40, about 2.8e14.
+    """
+    j, weights = _series_nodes()
+    vals = f(j)
+    n = SERIES_HEAD
+    f_m2, f_m1, f_0, f_p1, f_p2 = vals[n - 3:n + 2]
+    panels = (vals[n + 2:].reshape(weights.shape) * weights).sum(axis=1)
+    r = float(panels[-1] / panels[-2]) if panels[-1] else 0.0
+    if not 0.0 <= r < 1.0:
+        raise EstimationError("countable tail does not decay")
+    integral = float(panels.sum()) + float(panels[-1]) * r / (1.0 - r)
+    d1 = (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / 12.0
+    d3 = (f_p2 - 2.0 * f_p1 + 2.0 * f_m1 - f_m2) / 2.0
+    return np.append(vals[:n - 1], integral + f_0 / 2 - d1 / 12 + d3 / 720)
 
 
 @dataclass(frozen=True)
@@ -111,19 +149,16 @@ class ThetaLaw:
         return np.asarray(mu, dtype=float), np.asarray(hs, dtype=float)
 
     def mean(self) -> Tuple[float, float]:
-        """(E mu, E sigma^2/2)."""
+        """(E mu, E sigma^2/2); a countable law sums p_j Theta_j by
+        ``countable_sum``."""
         if self.kind == "finite":
             mu = sum(w * p[0] for p, w in self.atoms)
             hs = sum(w * p[1] for p, w in self.atoms)
             return mu, hs
         if self.kind == "countable":
-            j = np.arange(1.0, 2.0e6)
-            w = self.prob_fn(j)
-            mu_j, hs_j = self.point_fn(j)
-            tail = max(0.0, 1.0 - float(np.sum(w)))
-            lx, ly = (self.limit_points[0] if self.limit_points else (0.0, 0.0))
-            return (float(np.sum(w * mu_j)) + tail * lx,
-                    float(np.sum(w * hs_j)) + tail * ly)
+            mu, hs = (math.fsum(countable_sum(
+                lambda j: self.prob_fn(j) * self.point_fn(j)[i])) for i in (0, 1))
+            return mu, hs
         if self.kind == "polytope_uniform":
             cx, cy = _polygon_centroid(np.asarray(self.vertices))
             return cx, cy
@@ -137,7 +172,7 @@ class ThetaLaw:
 
     def support_box(self) -> Tuple[float, float, float, float]:
         """(mu_min, mu_max, hs_min, hs_max) of the candidate points."""
-        pts = self.candidate_points(j_probe=200_000)
+        pts = self.candidate_points()
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
@@ -147,16 +182,15 @@ class ThetaLaw:
 
         The scanned linear functionals are linear in theta, so for polytopes
         and product boxes the extreme values sit at vertices/corners; for
-        countable supports the declared limit points follow the atom rows.
+        countable supports the declared limit points follow the atom rows,
+        scanned once per law and probe size into a read-only array.
         """
         if self.kind == "finite":
             return np.array([p for p, _ in self.atoms], dtype=float)
         if self.kind == "polytope_uniform":
             return np.array(self.vertices, dtype=float)
         if self.kind == "countable":
-            j = np.arange(1.0, float(j_probe) + 1.0)
-            limits = np.array(self.limit_points, dtype=float).reshape(-1, 2)
-            return np.vstack([np.column_stack(self.point_fn(j)), limits])
+            return _countable_points(self.point_fn, self.limit_points, j_probe)
         a, b = self.dist_mu.support()
         c, d = self.dist_halfsig2.support()
         if not (math.isfinite(b) and math.isfinite(d)):
@@ -168,6 +202,15 @@ class ThetaLaw:
         return np.array([(a, c), (a, d), (b, c), (b, d)], dtype=float)
 
 
+@lru_cache(maxsize=8)
+def _countable_points(point_fn, limit_points: tuple, j_probe: int):
+    j = np.arange(1.0, float(j_probe) + 1.0)
+    pts = np.vstack([np.column_stack(point_fn(j)),
+                     np.reshape(limit_points, (-1, 2))])
+    pts.flags.writeable = False
+    return pts
+
+
 # -- zeta-weighted worked family ----------------------------------------------
 
 def _zeta_points(j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,9 +218,9 @@ def _zeta_points(j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return mu, 1.0 - mu
 
 
-def _zeta_probs(p: float, j: np.ndarray) -> np.ndarray:
+def _zeta_probs(p: float, zeta_p: float, j: np.ndarray) -> np.ndarray:
     w = j ** (-p)
-    w /= _hurwitz_zeta(p, 1)
+    w /= zeta_p
     return w
 
 
@@ -194,9 +237,11 @@ def zeta_regime_law(p: int) -> ThetaLaw:
     """
     if p < 2:
         raise DistributionError("zeta family needs p >= 2 for a finite mean")
+    # its own countable sum rounds zeta(p) correctly; scipy's zeta(5) does not
+    zeta_p = math.fsum(countable_sum(lambda j: j ** -float(p)))
     return ThetaLaw.countable(
         point_fn=_zeta_points,
-        prob_fn=partial(_zeta_probs, float(p)),
+        prob_fn=partial(_zeta_probs, float(p), zeta_p),
         index_sampler=partial(_zeta_sampler, float(p)),
         limit_points=[(0.0, 1.0)],
     )

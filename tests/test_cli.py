@@ -56,14 +56,14 @@ def test_lundberg_reuses_report_geometry(tmp_path, capsys, monkeypatch):
         return real(*args, **kwargs)
 
     sums = []
-    real_blocks = lundberg._series_blocks
+    real_sum = lundberg.countable_sum
 
-    def counted_blocks(*args, **kwargs):
+    def counted_sum(*args, **kwargs):
         sums.append(args)
-        return real_blocks(*args, **kwargs)
+        return real_sum(*args, **kwargs)
 
     monkeypatch.setattr(lundberg, "q_plus_compute", counted)
-    monkeypatch.setattr(lundberg, "_series_blocks", counted_blocks)
+    monkeypatch.setattr(lundberg, "countable_sum", counted_sum)
     assert main(["lundberg", "--config", str(GOLDEN_CONFIG)]) == 0
     assert len(calls) == 1
     assert len(sums) == 1      # one pass over the countable series
@@ -72,7 +72,7 @@ def test_lundberg_reuses_report_geometry(tmp_path, capsys, monkeypatch):
         "endpoint_verdict": "endpoint_finite",
         "hypothesis_flags": {"claim_moment_ok": None, "cond_tau_ok": None,
                              "ek_positive": True},
-        "method": "analytic", "phi_at_endpoint": 0.6864049476509566,
+        "method": "analytic", "phi_at_endpoint": 0.6864049476390953,
         "q_nu": 0.6180339887498949, "q_plus": 0.6180339887498949,
         "status": "no_root", "touching_points": [[0.0, 1.0]]}
     assert main(["lundberg", "--config", write_cfg(tmp_path, BETA2)]) == 0
