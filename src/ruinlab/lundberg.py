@@ -18,12 +18,15 @@ sits near the touching ray.  The gap variable
     H = q_tau + q_plus mu - q_plus (q_plus + 1) sigma^2/2  >= 0
 
 captures that concentration: phi_nu(q_plus) = E phi_tau(q_tau - H) is
-infinite exactly when that integral diverges at H = 0.
-``classify_endpoint`` evaluates it once per gap law: exact sums for finite
-Theta, the terms' decay exponent and ``theta.countable_sum`` (an exact head
-and an Euler-Maclaurin tail) for the zeta series, dyadic shells of a
-polygon's level density, and a sampled power fit for product laws (flagged
-heuristic).
+infinite exactly when that integral diverges at H = 0.  The gap law has a
+mass exponent at 0, P(H <= h) ~ c h^rho, and phi_tau(q_tau - h) ~ c' h^-k
+with k the pole order of the inter-arrival MGF, so the integral is finite
+iff rho > k.  ``classify_endpoint`` applies that one rule to every support
+shape, reading rho off the geometry, and evaluates a finite integral once
+per gap law: exact sums for finite Theta, ``theta.countable_sum`` (an exact
+head and an Euler-Maclaurin tail) for the zeta series, quadrature of a
+polygon's level density, and nested quadrature of a product law's
+marginals.
 """
 
 from __future__ import annotations
@@ -31,14 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy import integrate
 
 from .distributions import Distribution
 from .engine import StepKernel
-from .errors import DistributionError, EstimationError, HypothesisViolation
+from .errors import DistributionError, HypothesisViolation
 from .model import ModelConfig, RngStreams, as_streams
 from .theta import SERIES_HEAD, ThetaLaw, countable_sum
 
@@ -50,13 +53,7 @@ __all__ = [
 ]
 
 _TOUCH_TOL = 1e-12
-_DECAY_TOL = 1e-9        # rounding slack on the series decay exponent
-_BLOCK_CONVERGE = 0.70
-_BLOCK_DIVERGE = 0.95
-_POWER_FIT_MARGIN = 0.05
-_POWER_FIT_SAMPLES = 200_000
-_POWER_FIT_SEED = 0
-_POLYGON_SHELLS = 18
+_DECAY_TOL = 1e-9        # rounding slack on the series mass exponent
 
 
 def u_vector(q: float) -> Tuple[float, float]:
@@ -74,42 +71,23 @@ def _inner(q: float, x, y):
 
 @dataclass(frozen=True)
 class HLaw:
-    """Law of the tangent gap H, in whichever form the support shape allows.
+    """Law of the tangent gap H, in whichever form the support shape allows,
+    with its mass exponent ``rho`` at zero: P(H <= h) ~ c h^rho as h -> 0.
 
     ``discrete``: finitely many atoms; ``series``: countable atoms given by
     vectorized index functions; ``polygon``: a density with kinks at the
-    vertex gaps, also sampleable; ``sampler``: draw-only access.
+    vertex gaps; ``product``: the laws of mu - mu_min and
+    sigma^2/2_max - sigma^2/2.
     """
 
     kind: str
+    rho: float
     atoms: Optional[tuple] = None          # ((h, prob), ...)
     h_fn: Optional[Callable] = None        # j-array -> h-array (nonincreasing)
     p_fn: Optional[Callable] = None
-    sampler: Optional[Callable] = None     # (rng, n) -> h-array
     density: Optional[Callable] = None     # polygon: h -> density of H
     kinks: tuple = ()                      # polygon: sorted vertex gaps
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "discrete":
-            hs = np.array([h for h, _ in self.atoms])
-            ps = np.cumsum([p for _, p in self.atoms])
-            idx = np.minimum(np.searchsorted(ps, rng.random(n), side="right"),
-                             len(hs) - 1)
-            return hs[idx]
-        if self.kind == "series":
-            raise EstimationError("series gap law is summed, not sampled")
-        return self.sampler(rng, n)
-
-
-def _h_from_theta(theta: ThetaLaw, q_plus: float, q_tau: float,
-                  rng: np.random.Generator, n: int) -> np.ndarray:
-    mu, hs = theta.sample(rng, n)
-    h = q_tau - _inner(q_plus, mu, hs)
-    if np.min(h) < -1e-9 * max(1.0, q_tau):
-        raise EstimationError("gap variable sampled negative; the support "
-                              "crosses the tangent ray")
-    # touching-point draws can round a few ulp below zero
-    return np.maximum(h, 0.0)
+    marginals: tuple = ()                  # product: distances from the corner
 
 
 @dataclass(frozen=True)
@@ -134,8 +112,7 @@ class EndpointVerdict:
     verdict: str                 # "endpoint_infinite" | "endpoint_finite"
     integral_value: float        # the (0, delta] integral; inf when divergent
     head_value: float = 0.0      # the integral over H > delta
-    inconclusive: bool = False
-    heuristic: bool = False
+    inconclusive: bool = False   # always False; kept for readers of the field
 
 
 @dataclass(frozen=True)
@@ -218,27 +195,65 @@ def q_plus_compute(theta: ThetaLaw, q_tau: float) -> TangentGeometry:
 
 
 def _build_h_law(theta: ThetaLaw, q_plus: float, q_tau: float) -> HLaw:
+    """The gap law and its mass exponent rho, read off the support geometry.
+
+    An atom on the ray (gap within the touch tolerance of ``q_plus_compute``)
+    gives rho = 0.  Countable atoms with p_j ~ j^-p and h_j ~ a j^-r give
+    rho = (p - 1)/r, with p and r read off at J and 2J (inf when the gaps
+    do not decay).  A polygon has rho = 2 when one vertex touches and 1 when
+    an edge lies on the ray.  A product box touches at its corner
+    (mu_min, sigma^2/2_max), and each uniform marginal adds 1 to rho (an
+    atom marginal adds 0).
+    """
+    tol = _TOUCH_TOL * max(1.0, q_tau)
     if theta.kind == "finite":
-        hs = [max(0.0, q_tau - float(_inner(q_plus, x, y)))
-              for (x, y), _ in theta.atoms]
         merged: dict = {}
-        for h, (_, w) in zip(hs, theta.atoms):
+        for (x, y), w in theta.atoms:
+            h = q_tau - float(_inner(q_plus, x, y))
             merged[h] = merged.get(h, 0.0) + w
         atoms = tuple(sorted(merged.items()))
-        return HLaw("discrete", atoms=atoms)
+        rho = 0.0 if atoms[0][0] <= tol else math.inf
+        return HLaw("discrete", rho, atoms=atoms)
     if theta.kind == "countable":
-        return HLaw("series",
-                    h_fn=partial(_h_series_values, theta, q_plus, q_tau),
-                    p_fn=theta.prob_fn)
-    sampler = partial(_h_from_theta, theta, q_plus, q_tau)
+        h_fn = partial(_h_series_values, theta, q_plus, q_tau)
+        if np.any(h_fn(np.arange(1.0, SERIES_HEAD)) <= tol):
+            rho = 0.0
+        else:
+            far = np.array([SERIES_HEAD, 2.0 * SERIES_HEAD])
+            p_far, h_far = theta.prob_fn(far), h_fn(far)
+            decay = math.log2(h_far[0] / h_far[1])
+            rho = ((math.log2(p_far[0] / p_far[1]) - 1.0) / decay
+                   if decay > 0.0 else math.inf)
+        return HLaw("series", rho, h_fn=h_fn, p_fn=theta.prob_fn)
     if theta.kind == "polytope_uniform":
         verts = np.asarray(theta.vertices)
-        level = _polygon_level_density(verts, q_plus)
-        kinks = q_tau - _inner(q_plus, verts[:, 0], verts[:, 1])
-        return HLaw("polygon", sampler=sampler,
-                    density=lambda h: level(q_tau - h),
-                    kinks=tuple(sorted(set(kinks.tolist()))))
-    return HLaw("sampler", sampler=sampler)
+        gaps = q_tau - _inner(q_plus, verts[:, 0], verts[:, 1])
+        touch = gaps <= tol
+        if not touch.any():
+            raise DistributionError("no polygon vertex lies on the ray")
+        gaps = np.where(touch, 0.0, gaps)
+        return HLaw("polygon", 2.0 if np.sum(touch) == 1 else 1.0,
+                    density=_polygon_level_density(verts, gaps),
+                    kinks=tuple(sorted(set(gaps.tolist()))))
+    marginals = (_from_end(theta.dist_mu, top=False),
+                 _from_end(theta.dist_halfsig2, top=True))
+    return HLaw("product", float(sum(d.kind == "uniform" for d in marginals)),
+                marginals=marginals)
+
+
+def _from_end(dist: Distribution, top: bool) -> Distribution:
+    """Law of the distance of X from the low end of its support, or from
+    the high end with ``top``, for the kinds a product box admits."""
+    lo, hi = dist.support()
+    if dist.kind == "uniform":
+        return Distribution.uniform(0.0, hi - lo)
+    return Distribution.discrete(
+        (hi - v if top else v - lo, w) for v, w in zip(*_atoms(dist)))
+
+
+def _atoms(dist: Distribution) -> tuple:
+    """(values, probs) of a deterministic or discrete law."""
+    return dist.params if dist.kind == "discrete" else (dist.params, (1.0,))
 
 
 def _h_series_values(theta: ThetaLaw, q_plus: float, q_tau: float,
@@ -275,7 +290,7 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
         return _boundary_value(theta, tau_dist, q, q_tau)
     if theta.kind == "countable":
         return _phi_nu_countable(theta, tau_dist, q)
-    density = _polygon_level_density(pts, q)
+    density = _polygon_level_density(pts, t_v)
     val, _ = integrate.quad(lambda t: tau_dist.mgf(t) * density(t),
                             float(t_v.min()), t_max, limit=400,
                             points=sorted(set(t_v.tolist())))
@@ -290,12 +305,10 @@ def _phi_nu_countable(theta, tau_dist, q):
 
 def _phi_nu_product(theta, tau_dist, q, q_tau):
     dx, dy = theta.dist_mu, theta.dist_halfsig2
-    x_lo, x_hi = dx.support()
-    y_lo, y_hi = dy.support()
-    sup = float(_inner(q, x_lo, y_hi))
-    if math.isfinite(q_tau) and not math.isfinite(y_hi):
-        return math.inf
-    if math.isfinite(q_tau) and sup > q_tau + _TOUCH_TOL:
+    y_hi = dy.support()[1]
+    corner = (float(_inner(q, dx.support()[0], y_hi)) if math.isfinite(y_hi)
+              else math.inf)
+    if corner > q_tau + _TOUCH_TOL:
         return math.inf
 
     def phi_given_y(y: float) -> float:
@@ -304,143 +317,115 @@ def _phi_nu_product(theta, tau_dist, q, q_tau):
     return _expect_1d(dy, phi_given_y)
 
 
-def _expect_1d(dist: Distribution, f: Callable[[float], float]) -> float:
-    if dist.kind == "deterministic":
-        return f(dist.params[0])
-    if dist.kind == "discrete":
-        values, probs = dist.params
-        return sum(w * f(v) for v, w in zip(values, probs))
-    lo, hi = dist.support()
-    val, _ = integrate.quad(lambda x: f(x) * float(dist.pdf(x)), lo, hi,
-                            limit=300)
+def _expect_1d(dist: Distribution, f: Callable[[float], float],
+               lo: float = -math.inf, hi: float = math.inf,
+               spike: float = 0.0) -> float:
+    """E[f(X); lo < X <= hi].  Given a spike of f with width ``spike`` at
+    the lower limit a, a density is integrated in s = log(1 + (x - a)/spike),
+    where the spike is flat."""
+    if dist.kind in ("deterministic", "discrete"):
+        return sum(w * f(v) for v, w in zip(*_atoms(dist)) if lo < v <= hi)
+    a, b = dist.support()
+    a, b = max(a, lo), min(b, hi)
+    if a >= b:
+        return 0.0
+    g = lambda x: f(x) * float(dist.pdf(x))
+    if spike > 0.0:
+        val, _ = integrate.quad(
+            lambda s: g(a + spike * math.expm1(s)) * spike * math.exp(s),
+            0.0, math.log1p((b - a) / spike), limit=300)
+        return val
+    val, _ = integrate.quad(g, a, b, limit=300)
     return val
 
 
 # -- polygon level-set density ---------------------------------------------------
 
-def _polygon_level_density(verts: np.ndarray, q: float) -> Callable[[float], float]:
-    """Density of <u(q), Theta> for Theta uniform on a convex polygon."""
-    d = np.array(u_vector(q))
-    norm_d = float(np.hypot(*d))
-    x, y = verts[:, 0], verts[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
-    area = abs(float(np.sum(x * yr - xr * y)) / 2.0)
-    edges = list(zip(verts, np.roll(verts, -1, axis=0)))
-    t_of = lambda p: float(np.dot(d, p))
+def _polygon_level_density(verts: np.ndarray,
+                           levels: np.ndarray) -> Callable[[float], float]:
+    """Density of a linear functional of Theta uniform on a convex polygon,
+    given the functional's values ``levels`` at the vertices.
 
-    def chord(t: float) -> float:
-        pts: List[np.ndarray] = []
-        for p1, p2 in edges:
-            t1, t2 = t_of(p1), t_of(p2)
-            if t1 == t2:
-                if abs(t1 - t) <= 1e-14 * max(1.0, abs(t)):
-                    pts.extend([np.asarray(p1), np.asarray(p2)])
-                continue
-            lam = (t - t1) / (t2 - t1)
-            if -1e-12 <= lam <= 1.0 + 1e-12:
-                pts.append(np.asarray(p1) + lam * (np.asarray(p2) - np.asarray(p1)))
-        if len(pts) < 2:
+    The fan of triangles (v_0, v_i, v_i+1) tiles the polygon, and on a
+    triangle with sorted vertex levels a <= b <= c the functional has the
+    tent density rising from 0 at a to 2/(c - a) at b and falling back to 0
+    at c.  Levels measured as gaps from a touching line keep small gaps
+    exact.
+    """
+    x, y = verts[:, 0] - verts[0, 0], verts[:, 1] - verts[0, 1]
+    areas = np.abs(x[1:-1] * y[2:] - x[2:] * y[1:-1])
+    tents = [(sorted(levels[[0, i, i + 1]].tolist()), w)
+             for i, w in enumerate((areas / areas.sum()).tolist(), start=1)]
+
+    def tent(t: float, a: float, b: float, c: float) -> float:
+        if not a < t < c:
             return 0.0
-        arr = np.array(pts)
-        return float(np.max(np.hypot(*(arr[:, None] - arr[None]).T)))
+        return 2.0 / (c - a) * ((t - a) / (b - a) if t < b else (c - t) / (c - b))
 
-    return lambda t: chord(t) / (area * norm_d)
+    return lambda t: sum(w * tent(t, *abc) for abc, w in tents)
 
 
 # -- endpoint values and the dichotomy --------------------------------------------
 
-def _series_verdict(h_law: HLaw, tau_dist, q_tau, delta) -> EndpointVerdict:
-    """With p_j ~ j^-p, h_j ~ a j^-r and phi_tau(q_tau - h) ~ c h^-k, the
-    terms decay like j^-s, s = p - r k (p and r read off at J and 2J), and
-    their sum is finite iff s > 1.  The tail atoms gap below h_J <= delta."""
-    far = np.array([SERIES_HEAD, 2.0 * SERIES_HEAD])
-    p_far, h_far = h_law.p_fn(far), h_law.h_fn(far)
-    s = (math.log2(p_far[0] / p_far[1])
-         - _integrand_growth_rate(tau_dist) * math.log2(h_far[0] / h_far[1]))
-    h = h_law.h_fn(np.arange(1.0, SERIES_HEAD))
-    if s <= 1.0 + _DECAY_TOL or np.any(h <= _TOUCH_TOL):
-        return EndpointVerdict("endpoint_infinite", math.inf)
-    if delta < h_far[0]:
-        raise ValueError(f"delta is below the series gap h_J = {h_far[0]:.3g}")
+def _series_parts(geometry: TangentGeometry, tau_dist, delta):
+    """``countable_sum`` of the terms; the tail atoms gap below h_J <= delta."""
+    h_law, q_tau = geometry.h_law, geometry.q_tau
+    h = h_law.h_fn(np.arange(1.0, SERIES_HEAD + 1.0))
+    if delta < h[-1]:
+        raise ValueError(f"delta is below the series gap h_J = {h[-1]:.3g}")
     terms = countable_sum(
         lambda j: h_law.p_fn(j) * tau_dist.mgf(q_tau - h_law.h_fn(j)))
-    near = np.append(h <= delta, True)
-    return EndpointVerdict("endpoint_finite", math.fsum(terms[near]),
-                           math.fsum(terms[~near]))
+    near = np.append(h[:-1] <= delta, True)
+    return math.fsum(terms[near]), math.fsum(terms[~near])
 
 
-def _shell_verdict(shells: np.ndarray, head: float) -> EndpointVerdict:
-    """Classify dyadic shell sums: geometric decay means a finite limit.
-
-    Ratios hugging 1 signal divergence; the in-between band is decided
-    toward divergence (a ratio exactly 1 is the harmonic boundary, which
-    diverges) but flagged inconclusive.  A finite sum is closed with the
-    geometric tail of its last two shells.
-    """
-    pos = shells[shells > 0]
-    if len(pos) < 4:
-        finite, inconclusive = len(pos) == 0, True
-    else:
-        r = float(np.median((pos[1:] / pos[:-1])[-6:]))
-        finite, inconclusive = r < 0.825, _BLOCK_CONVERGE < r < _BLOCK_DIVERGE
-    if not finite:
-        return EndpointVerdict("endpoint_infinite", math.inf,
-                               inconclusive=inconclusive)
-    total = float(np.sum(shells))
-    r = pos[-1] / pos[-2] if len(pos) >= 2 else 1.0
-    if r < 1.0:
-        total += float(pos[-1]) * r / (1.0 - r)
-    return EndpointVerdict("endpoint_finite", total, head,
-                           inconclusive=inconclusive)
-
-
-def _polygon_shells(h_law: HLaw, tau_dist, q_tau, delta):
-    """Quadrature of phi_tau(q_tau - h) f_H(h) over dyadic bands of
-    (0, delta], plus the head over h > delta."""
-    f = lambda h: tau_dist.mgf(q_tau - h) * h_law.density(h)
-    shells = np.array([
-        integrate.quad(f, delta * 0.5 ** (k + 1), delta * 0.5 ** k,
-                       limit=200)[0]
-        for k in range(_POLYGON_SHELLS)])
-    h_max = h_law.kinks[-1]
-    head = 0.0
-    if h_max > delta:
-        inside = [h for h in h_law.kinks if delta < h < h_max]
-        head, _ = integrate.quad(f, delta, h_max, limit=400,
-                                 points=inside or None)
-    return shells, head
-
-
-def _power_fit_verdict(h_law: HLaw, tau_dist, q_tau, delta
-                       ) -> EndpointVerdict:
-    """Local power fit of the sampled gap CDF near zero against the pole
-    order of the integrand; the value is the sample mean over all draws."""
-    rng = np.random.default_rng(_POWER_FIT_SEED)
-    h = h_law.sample(rng, _POWER_FIT_SAMPLES)
-    terms = np.where(h > 0, tau_dist.mgf(q_tau - h), 0.0)
+def _discrete_parts(geometry: TangentGeometry, tau_dist, delta):
+    h, w = np.array(geometry.h_law.atoms).T
+    terms = w * tau_dist.mgf(geometry.q_tau - h)
     near = h <= delta
-    integral = float(np.mean(np.where(near, terms, 0.0)))
-    head = float(np.mean(np.where(near, 0.0, terms)))
-    levels = delta * 0.5 ** np.arange(7)
-    counts = np.array([(h <= lv).sum() for lv in levels], dtype=float)
-    if counts[-1] < 30:
-        # too little mass near zero to fit; call it finite, flagged unless
-        # no draw fell in (0, delta] at all
-        return EndpointVerdict("endpoint_finite", integral, head,
-                               inconclusive=bool(counts[0] > 0),
-                               heuristic=True)
-    good = counts >= 30
-    rho, _ = np.polyfit(np.log(levels[good]),
-                        np.log(counts[good] / _POWER_FIT_SAMPLES), 1)
-    kappa = _integrand_growth_rate(tau_dist)
-    if rho <= kappa - _POWER_FIT_MARGIN:
-        return EndpointVerdict("endpoint_infinite", math.inf, heuristic=True)
-    if rho >= kappa + _POWER_FIT_MARGIN:
-        return EndpointVerdict("endpoint_finite", integral, head,
-                               heuristic=True)
-    # boundary band: the pure power boundary diverges; flag it
-    return EndpointVerdict("endpoint_infinite", math.inf,
-                           inconclusive=True, heuristic=True)
+    return sum(terms[near].tolist(), 0.0), sum(terms[~near].tolist(), 0.0)
+
+
+def _polygon_parts(geometry: TangentGeometry, tau_dist, delta):
+    """Quadrature of phi_tau(q_tau - h) f_H(h) over (0, delta] and over
+    (delta, h_max], breaking at the vertex gaps."""
+    h_law = geometry.h_law
+    k, scale = _endpoint_pole(tau_dist)
+    f = lambda h: (scale * h) ** -k * h_law.density(h)
+
+    def part(a: float, b: float) -> float:
+        if a >= b:
+            return 0.0
+        inside = [h for h in h_law.kinks if a < h < b]
+        return integrate.quad(f, a, b, limit=400, points=inside or None)[0]
+
+    h_max = h_law.kinks[-1]
+    return part(0.0, min(delta, h_max)), part(delta, h_max)
+
+
+def _product_parts(geometry: TangentGeometry, tau_dist, delta):
+    """Nested quadrature of the marginals.  With V = mu - mu_min and
+    W = sigma^2/2_max - sigma^2/2 the distances from the touching corner,
+    H = q V + q (q + 1) W, so each level of W splits the inner expectation
+    over V at one cut."""
+    q = geometry.q_plus
+    dv, dw = geometry.h_law.marginals
+    k, scale = _endpoint_pole(tau_dist)
+
+    def given_w(near: bool, w: float) -> float:
+        h_w = q * (q + 1.0) * w
+        f = lambda v: (scale * (h_w + q * v)) ** -k
+        cut = (delta - h_w) / q
+        if near:
+            return _expect_1d(dv, f, hi=cut, spike=h_w / q)
+        return _expect_1d(dv, f, lo=cut)
+
+    return (_expect_1d(dw, partial(given_w, True)),
+            _expect_1d(dw, partial(given_w, False)))
+
+
+_ENDPOINT_PARTS = {"discrete": _discrete_parts, "series": _series_parts,
+                   "polygon": _polygon_parts, "product": _product_parts}
 
 
 def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
@@ -449,14 +434,13 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
 
     The verdict says whether the integral diverges at H = 0, which is
     whether the step-multiplier transform blows up at its own endpoint and
-    in turn guarantees that the decay exponent exists.  A finite verdict
+    in turn guarantees that the decay exponent exists.  With P(H <= h) ~
+    c h^rho and phi_tau(q_tau - h) ~ c' h^-k, it diverges iff rho <= k (up
+    to ``_DECAY_TOL``), whatever the support shape.  A finite verdict
     carries the integral over (0, delta] (``integral_value``) and over
     H > delta (``head_value``); their sum is phi_nu(q_plus).  Finite gap
-    laws are summed exactly; a countable series is finite iff its terms
-    decay like j^-s with s > 1, and is then summed by ``countable_sum``;
-    polygon laws integrate their level density over dyadic shells, and the
-    remaining continuous laws take a local power fit of the sampled gap CDF
-    against the pole order of the integrand, a path flagged heuristic.
+    laws are summed exactly, a countable series by ``countable_sum``, a
+    polygon's level density and a product law's marginals by quadrature.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -466,33 +450,22 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
             "interarrival_endpoint",
             "the dichotomy applies when the inter-arrival MGF endpoint is "
             "finite with a divergent value there")
-    q_tau = geometry.q_tau
     h_law = geometry.h_law
-
-    if h_law.kind == "discrete":
-        h, w = np.array(h_law.atoms).T
-        if np.any(h <= _TOUCH_TOL):
-            return EndpointVerdict("endpoint_infinite", math.inf)
-        terms = w * tau_dist.mgf(q_tau - h)
-        near = h <= delta
-        return EndpointVerdict("endpoint_finite",
-                               sum(terms[near].tolist(), 0.0),
-                               sum(terms[~near].tolist(), 0.0))
-
-    if h_law.kind == "series":
-        return _series_verdict(h_law, tau_dist, q_tau, delta)
-
-    if h_law.kind == "polygon":
-        return _shell_verdict(*_polygon_shells(h_law, tau_dist, q_tau, delta))
-
-    return _power_fit_verdict(h_law, tau_dist, q_tau, delta)
+    if h_law.rho <= _endpoint_pole(tau_dist)[0] + _DECAY_TOL:
+        return EndpointVerdict("endpoint_infinite", math.inf)
+    near, head = _ENDPOINT_PARTS[h_law.kind](geometry, tau_dist, delta)
+    return EndpointVerdict("endpoint_finite", near, head)
 
 
-def _integrand_growth_rate(tau_dist) -> float:
-    """kappa with phi_tau(q_tau - h) ~ c h^(-kappa) near h = 0: the pole
-    order of the MGF at its endpoint, 1 for exponential and the shape for
-    gamma (the only laws ``classify_endpoint`` accepts)."""
-    return 1.0 if tau_dist.kind == "exponential" else tau_dist.params[0]
+def _endpoint_pole(tau_dist) -> Tuple[float, float]:
+    """(k, s) with phi_tau(q_tau - h) = (s h)^-k: k is the pole order of the
+    MGF at its endpoint, 1 for exponential (s = 1/rate) and the shape for
+    gamma (s the scale), the only laws ``classify_endpoint`` accepts.  Taken
+    from the gap h itself, the value keeps gaps that q_tau - h would round
+    away below about 1e-16 q_tau."""
+    if tau_dist.kind == "exponential":
+        return 1.0, 1.0 / tau_dist.params[0]
+    return tau_dist.params
 
 
 def endpoint_phi_value(verdict: EndpointVerdict) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from . import perpetuity as perp
 from .distributions import Distribution
 from .lundberg import (lundberg_report, phi_nu_analytic, phi_nu_mc,
-                       q_plus_compute, classify_endpoint)
+                       q_plus_compute, classify_endpoint, u_vector)
 from .model import ModelConfig, PremiumSpec, RegimeSpec
 from .ruin import (bounds_check, classical_psi, estimate_psi_grid, fit_tail,
                    rw_max_diagnostic)
@@ -282,7 +282,6 @@ def criterion_exact_invariances(workers: Optional[int] = None,
     phi0_mc = phi_nu_mc(cfg, 0.0, 10_000, 3).estimate
     phi_ok = phi0 == 1.0 and phi0_mc == 1.0
 
-    rng = np.random.default_rng(17)
     h_ok = True
     for law in (ThetaLaw.point_mass(0.0, 1.0),
                 ThetaLaw.polytope_uniform([(0, 0), (1, 0), (0, 1), (1, 1)]),
@@ -290,10 +289,14 @@ def criterion_exact_invariances(workers: Optional[int] = None,
         geom = q_plus_compute(law, 1.0)
         if geom.h_law.kind == "series":
             j = np.arange(1.0, 1_000_001.0)
-            h = geom.h_law.h_fn(j)
+            h_ok = h_ok and float(np.min(geom.h_law.h_fn(j))) >= 0.0
         else:
-            h = geom.h_law.sample(rng, 1_000_000)
-        h_ok = h_ok and float(np.min(h)) >= 0.0
+            # H is linear in Theta, so its least value over the support
+            # sits at a candidate point; check the gap there unclipped
+            ux, uy = u_vector(geom.q_plus)
+            pts = law.candidate_points()
+            h = geom.q_tau - (ux * pts[:, 0] + uy * pts[:, 1])
+            h_ok = h_ok and float(np.min(h)) >= -1e-9 * max(1.0, geom.q_tau)
     ok = scale_ok and mono_ok and phi_ok and h_ok
     return CriterionResult(
         "exact_invariances", ok, 0.0,

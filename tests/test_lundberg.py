@@ -17,6 +17,41 @@ SQUARE = ThetaLaw.polytope_uniform([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = ThetaLaw.polytope_uniform([(0, 0), (1, 0), (0.2, 0.8)])
 
 
+def _rotated_square() -> ThetaLaw:
+    """The unit square rotated about (0, 1) until its top edge lies on the
+    tangent ray -g mu + sigma^2/2 = 1 at q = g, the golden ratio."""
+    s = math.sqrt(2.0 - GOLDEN)
+    e1 = (1.0 / s, GOLDEN / s)          # along the ray
+    e2 = (GOLDEN / s, -1.0 / s)         # inward normal
+    v0 = (0.0, 1.0)
+    return ThetaLaw.polytope_uniform(
+        [v0, (v0[0] + e1[0], v0[1] + e1[1]),
+         (v0[0] + e1[0] + e2[0], v0[1] + e1[1] + e2[1]),
+         (v0[0] + e2[0], v0[1] + e2[1])])
+
+
+ROTATED_SQUARE = _rotated_square()
+UNIF_BOX = ThetaLaw.product(Distribution.uniform(0.2, 0.25),
+                            Distribution.uniform(0.01, 0.02))
+POINT_UNIF_BOX = ThetaLaw.product(Distribution.deterministic(0.2),
+                                  Distribution.uniform(0.01, 0.02))
+
+
+def _gap_mean(a: float, b: float, k: float, scale: float) -> float:
+    """E (scale H)^-k, the value phi_tau(q_tau - H) takes on average for a
+    Gamma(k, scale) tau (Exp(1/scale) when k = 1), in closed form for
+    H = A + B with A ~ U[0, a] and B ~ U[0, b] independent (A = 0 when
+    a = 0): E g(A + B) = (G(a + b) - G(a) - G(b) + G(0)) / (a b) with
+    G'' = g."""
+    if a == 0.0:
+        return (scale * b) ** -k / (1.0 - k)
+    if k == 1.0:
+        g2 = lambda h: h * math.log(h)
+    else:
+        g2 = lambda h: h ** (2.0 - k) / ((1.0 - k) * (2.0 - k))
+    return scale ** -k * (g2(a + b) - g2(a) - g2(b)) / (a * b)
+
+
 def _touch_value(x: float, y: float, q_tau: float) -> float:
     """Scalar oracle: smallest q > 0 with <u(q), (x, y)> = q_tau, or inf.
 
@@ -134,11 +169,15 @@ class TestQPlus:
             q_plus_compute(law, 1.0)
 
     def test_gap_variable_nonnegative(self):
-        rng = np.random.default_rng(2)
-        geom = q_plus_compute(ThetaLaw.polytope_uniform(
-            [(0, 0), (1, 0), (0, 1), (1, 1)]), 1.0)
-        h = geom.h_law.sample(rng, 1_000_000)
-        assert float(h.min()) >= 0.0
+        # H is linear in theta, so the unclipped gap at the candidate points
+        # bounds it on the whole support; the touching point has gap 0
+        for law in (SQUARE, TRIANGLE, ROTATED_SQUARE, UNIF_BOX,
+                    ThetaLaw.point_mass(0.0, 1.0)):
+            geom = q_plus_compute(law, 1.0)
+            ux, uy = u_vector(geom.q_plus)
+            pts = law.candidate_points()
+            h = geom.q_tau - (ux * pts[:, 0] + uy * pts[:, 1])
+            assert -1e-9 <= float(h.min()) <= 1e-12
 
 
 class TestTouchOracle:
@@ -249,20 +288,11 @@ class TestTheorem2:
             [(0, 0), (1, 0), (0, 1), (1, 1)]), 1.0)
         verdict = classify_endpoint(geom, EXP1, delta=0.3)
         assert verdict.verdict == "endpoint_finite"
-        assert not verdict.heuristic
 
     def test_rotated_square_edge_on_ray_is_infinite(self):
-        # rotate the unit square about (0, 1) until its top edge lies on the
-        # tangent ray; the near-ray mass is then of first order and the
+        # the near-ray mass of an edge on the ray is of first order, so the
         # endpoint diverges
-        s = math.sqrt(2.0 - GOLDEN)
-        e1 = (1.0 / s, GOLDEN / s)          # along the ray
-        e2 = (GOLDEN / s, -1.0 / s)         # inward normal
-        v0 = (0.0, 1.0)
-        verts = [v0, (v0[0] + e1[0], v0[1] + e1[1]),
-                 (v0[0] + e1[0] + e2[0], v0[1] + e1[1] + e2[1]),
-                 (v0[0] + e2[0], v0[1] + e2[1])]
-        geom = q_plus_compute(ThetaLaw.polytope_uniform(verts), 1.0)
+        geom = q_plus_compute(ROTATED_SQUARE, 1.0)
         assert geom.q_plus == pytest.approx(GOLDEN, rel=1e-9)
         verdict = classify_endpoint(geom, EXP1, delta=0.3)
         assert verdict.verdict == "endpoint_infinite"
@@ -273,7 +303,7 @@ class TestTheorem2:
         geom = q_plus_compute(TRIANGLE, 1.0)
         verdict = classify_endpoint(geom, GAMMA2, delta=0.5)
         assert verdict.verdict == "endpoint_infinite"
-        assert not verdict.inconclusive and not verdict.heuristic
+        assert not verdict.inconclusive
         assert endpoint_phi_value(verdict) == math.inf
 
     @pytest.mark.parametrize("law, want", [(SQUARE, 1.74101),
@@ -283,10 +313,73 @@ class TestTheorem2:
         geom = q_plus_compute(law, 1.0)
         verdict = classify_endpoint(geom, EXP1, delta=0.5)
         assert verdict.verdict == "endpoint_finite"
-        assert not verdict.inconclusive and not verdict.heuristic
+        assert not verdict.inconclusive
         below = phi_nu_analytic(law, EXP1, geom.q_plus * (1.0 - 1e-6))
         assert below == pytest.approx(want, rel=1e-5)
         assert endpoint_phi_value(verdict) == pytest.approx(below, rel=1e-4)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("law, rho", [
+        (ROTATED_SQUARE, 1.0), (SQUARE, 2.0), (TRIANGLE, 2.0),
+        (UNIF_BOX, 2.0), (POINT_UNIF_BOX, 1.0)],
+        ids=["rotated_edge", "square_vertex", "triangle_vertex",
+             "uniform_x_uniform", "deterministic_x_uniform"])
+    def test_mass_exponent_rule(self, law, rho, k):
+        # P(H <= h) ~ h^rho and phi_tau(q_tau - h) ~ h^-k for Gamma(k) tau,
+        # so the gap integral diverges iff rho <= k
+        tau = EXP1 if k == 1.0 else Distribution.gamma(k, 1.0)
+        geom = q_plus_compute(law, 1.0)
+        assert geom.h_law.rho == rho
+        verdict = classify_endpoint(geom, tau, delta=0.5)
+        assert not verdict.inconclusive
+        if rho <= k:
+            assert verdict.verdict == "endpoint_infinite"
+            assert endpoint_phi_value(verdict) == math.inf
+            return
+        assert verdict.verdict == "endpoint_finite"
+        below = phi_nu_analytic(law, tau, geom.q_plus * (1.0 - 1e-8))
+        assert endpoint_phi_value(verdict) == pytest.approx(below, rel=1e-5)
+
+    @pytest.mark.parametrize("law, rho, widths, k, rate", [
+        (ROTATED_SQUARE, 1.0, lambda q: (0.0, math.hypot(q, q * (q + 1.0))),
+         0.9, 1.0),
+        (SQUARE, 2.0, lambda q: (q, q * (q + 1.0)), 1.9, 1.0),
+        (SQUARE, 2.0, lambda q: (q, q * (q + 1.0)), 1.0, 5e4),
+        (SQUARE, 2.0, lambda q: (q, q * (q + 1.0)), 1.0, 5e6),
+        (UNIF_BOX, 2.0, lambda q: (0.05 * q, 0.01 * q * (q + 1.0)), 1.9, 1.0),
+        (POINT_UNIF_BOX, 1.0, lambda q: (0.0, 0.01 * q * (q + 1.0)), 0.9, 1.0)],
+        ids=["rotated_edge", "square_vertex", "square_rate_5e4",
+             "square_rate_5e6", "uniform_x_uniform", "deterministic_x_uniform"])
+    def test_endpoint_value_against_closed_form(self, law, rho, widths, k,
+                                                rate):
+        # H is uniform or a sum of two uniforms on each of these laws.  With
+        # rho - k = 0.1 a gap below 1e-10 still carries a tenth of the
+        # integral.  At rates 5e4 and 5e6 the touching vertex's gap is
+        # rounding noise of +7e-12 and +9e-10, which must still count as a
+        # touch
+        tau = (Distribution.exponential(rate) if k == 1.0
+               else Distribution.gamma(k, 1.0 / rate))
+        geom = q_plus_compute(law, rate)
+        assert geom.h_law.rho == rho
+        verdict = classify_endpoint(geom, tau, delta=rate / 2.0)
+        assert verdict.verdict == "endpoint_finite"
+        want = _gap_mean(*widths(geom.q_plus), k, 1.0 / rate)
+        assert endpoint_phi_value(verdict) == pytest.approx(want, rel=1e-7)
+
+    def test_series_without_gap_decay(self):
+        # every atom at one point: a touching head atom gives rho = 0; atoms
+        # off the ray below a touching limit point never close the gap, so
+        # rho = inf and the value is the plain sum p_j phi_tau(q_tau - h)
+        prob = lambda j: j ** -2.0 / zeta(2.0)
+        for y, limits, rho in ((0.5, (), 0.0), (0.25, [(0.0, 0.5)], math.inf)):
+            law = ThetaLaw.countable(
+                lambda j, y=y: (np.zeros_like(j), np.full_like(j, y)), prob,
+                None, limit_points=limits)
+            geom = q_plus_compute(law, 1.0)
+            assert geom.q_plus == pytest.approx(1.0, rel=1e-12)
+            assert geom.h_law.rho == rho
+            value = endpoint_phi_value(classify_endpoint(geom, EXP1, delta=0.5))
+            assert value == (math.inf if rho == 0.0 else pytest.approx(2.0))
 
     def test_requires_divergent_endpoint(self):
         geom = q_plus_compute(ThetaLaw.point_mass(0.0, 1.0), 1.0)
@@ -370,9 +463,8 @@ class TestSolveBeta:
 
     def test_product_box_endpoint_counts_mass_beyond_delta(self):
         # phi_nu(q_plus) = 1.2207 > 1 only once the gaps above delta are
-        # counted; the (0, delta] part alone is 0.4434
-        law = ThetaLaw.product(Distribution.uniform(0.2, 0.25),
-                               Distribution.uniform(0.01, 0.02))
+        # counted; the (0, delta] part alone is 0.4341
+        law = UNIF_BOX
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,
             premium=PremiumSpec.zero(), regime=RegimeSpec.constant(law),
@@ -380,8 +472,8 @@ class TestSolveBeta:
         rep = lundberg_report(cfg, tol=1e-6)
         assert rep.status == "root"
         assert rep.beta == pytest.approx(12.513458, abs=1e-5)
-        assert rep.phi_at_endpoint == pytest.approx(1.2207, rel=0.03)
-        assert rep.endpoint.heuristic
+        below = phi_nu_analytic(law, EXP1, rep.q_nu * (1.0 - 1e-8))
+        assert rep.phi_at_endpoint == pytest.approx(below, rel=1e-5)
 
     def test_monte_carlo_mode(self):
         cfg = constant_cfg(0.06, 0.02)
