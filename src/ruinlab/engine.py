@@ -20,12 +20,28 @@ over the cell nodes.
 D_n = sum_k Q_k prod_{i<k} M_i and its running supremum for a chunk of rows,
 which serves the ruin chain, the log-return walk and both perpetuities.
 
-Bridge rows go through cache-sized blocks, in place.  Blocks draw normals
-in row order and round every element as one full-width pass does; block
-sizes are multiples of four and the last is never one row, since BLAS rounds
-a trapezoid row by its place among groups of four.  Blocks stay below
-OpenBLAS's threading threshold, so bits never depend on its thread count.
-Piecewise rows go through blocks of about ``_BLOCK_FLOATS`` cells.
+The bridge runs node-major: one standard normal per interior node and row,
+m - 1 a row, and every operation a contiguous pass over all rows, so no
+(rows, m) array is formed and the bits depend on no BLAS kernel.  Piecewise
+rows go through blocks of about ``_BLOCK_FLOATS`` cells.
+
+Node count m, by a paired audit on beta2 (``tests/bridge_audit.py``, 24
+chunks of 65,536 paths, seed 11) in which every m reads its nodes off one
+32-cell bridge on the same draws: ruined paths per 65,536 at m minus at the
+32-cell trapezoid / paired SE; bar, a third of the 1e6-path SE of psi_hat;
+KS, 1e4 times the KS statistic of one step's growth integral against the
+32-cell trapezoid (524,288 steps, 5 % point 27 for independent samples), for
+the trapezoid / the log-linear cell rule h (e^b - e^a) / (b - a):
+
+    m    u = 10    30        100       300       1000      2400      KS
+    1    -3.0/1.3  +0.3/1.5  +1.2/0.6  -0.1/0.2  +0.1/0.1  -0.1/0.1  15/16
+    2    -0.9/0.9  -0.2/1.0  +0.4/0.5  -0.1/0.2   0.0/0.1   0.0/0.0   6/9
+    4    -0.2/0.6  +1.2/0.7  -0.5/0.3   0.0/0.2   0.0/0.0   0.0/0.0   3/6
+    8    -0.3/0.5  +0.7/0.5   0.0/0.2  +0.1/0.1   0.0/0.0   0.0/0.0   2/4
+    bar   6.2      10.9       5.8       2.2       0.7       0.3
+
+Every m is below the bar at every u, so the default is the smallest, m = 1:
+no bridge normals, and the growth integral tau (e^L + 1) / 2 with L = -nu.
 """
 
 from __future__ import annotations
@@ -44,8 +60,8 @@ __all__ = ["StepKernel", "StepBlock", "SupRun", "discounted_sup",
            "DEFAULT_CHUNK_SIZE", "DEFAULT_PREMIUM_NODES"]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
-DEFAULT_PREMIUM_NODES = 8
-_BLOCK_FLOATS = 1 << 14           # float64s per bridge scratch array
+DEFAULT_PREMIUM_NODES = 1
+_BLOCK_FLOATS = 1 << 14           # float64s per piecewise cell block
 
 
 @dataclass
@@ -62,21 +78,17 @@ class StepBlock:
 class StepKernel:
     """Draws step blocks for a configuration, in either regime mode.
 
-    ``premium_nodes`` controls the Brownian-bridge resolution of the growth
+    ``premium_nodes`` is the Brownian-bridge node count m of the growth
     integral in constant mode; the integral enters only through the premium
-    term, so a small node count is enough at Monte Carlo accuracy.
+    term, and the audit in the module docstring sets the default.
     Piecewise regimes integrate over their own cell nodes instead.
     """
 
     def __init__(self, config: ModelConfig, premium_nodes: int = DEFAULT_PREMIUM_NODES):
         self.config = config
         self.m = int(premium_nodes)
-        if self.m < 2:
-            raise ValueError("premium_nodes must be >= 2")
-        self._fractions = np.arange(self.m + 1) / self.m
-        self._one_minus_f = 1.0 - self._fractions
-        self._weights = np.r_[0.5, np.ones(self.m - 1), 0.5]
-        self._rows = max(8, _BLOCK_FLOATS // (self.m + 1) & ~3)
+        if self.m < 1:
+            raise ValueError("premium_nodes must be >= 1")
         self.investment = config.has_investment
         self._piecewise = self.investment and config.regime.mode == "piecewise"
         if self.investment and not self._piecewise:
@@ -98,25 +110,23 @@ class StepKernel:
             need_claim and self._premium_mode != "zero")
         exp_integral = premium_int = None
         if not self.investment:
-            nu = np.zeros(n)
-            exp_integral = tau
-            premium_int = self._classical_premium(tau, t_start, n)
+            nu, exp_integral = np.zeros(n), tau
+            t0 = 0.0 if t_start is None else t_start
+            if self._premium_mode != "zero":
+                premium_int = cfg.premium.integral(t0, t0 + tau)
         elif self._piecewise:
             nu, exp_integral, premium_int = self._cell_steps(
                 streams, tau, t_start, want_integrals)
         else:
-            if self._point:
-                mu, hs = self._mu0, self._hs0
-                sigma = math.sqrt(2.0 * self._hs0)
-            else:
-                mu, hs = self._theta.sample(streams.regime, n)
-                sigma = np.sqrt(2.0 * hs)
+            mu, hs = ((self._mu0, self._hs0) if self._point
+                      else self._theta.sample(streams.regime, n))
+            sigma = np.sqrt(2.0 * hs)
             k_tot = (mu - hs) * tau
             z = streams.brownian.standard_normal(n) * (sigma * np.sqrt(tau))
             nu = -(k_tot + z)
             if want_integrals:
                 exp_integral, premium_int = self._bridge_integrals(
-                    streams, n, tau, mu, hs, sigma, z, t_start)
+                    streams, tau, nu, sigma, t_start)
         claim = None
         zeta = None
         if need_claim:
@@ -124,14 +134,6 @@ class StepKernel:
             zeta = -claim if premium_int is None else premium_int - claim
         return StepBlock(tau=tau, nu=nu, claim=claim, zeta=zeta,
                          exp_integral=exp_integral if need_exp_integral else None)
-
-    def _classical_premium(self, tau, t_start, n):
-        prem = self.config.premium
-        if self._premium_mode == "zero":
-            return None
-        if t_start is None:
-            t_start = np.zeros(n)
-        return prem.integral(t_start, t_start + tau)
 
     def _cell_steps(self, streams, tau, t_start, want_integrals):
         """nu and the growth and premium integrals over piecewise cells.
@@ -187,46 +189,37 @@ class StepKernel:
             premium_int = prem.c * exp_integral
         return nu, exp_integral, premium_int
 
-    def _bridge_integrals(self, streams, n, tau, mu, hs, sigma, z, t_start):
+    def _bridge_integrals(self, streams, tau, nu, sigma, t_start):
         """Growth integral (and premium integral) via a pinned bridge.
 
-        Nodes sit at s_k = (k/m) tau.  The interior Wiener values are built
-        from free increments re-pinned so the terminal value matches the
-        exact draw z / sigma; v_k = K(s_k) + Z(s_k) then feeds a trapezoid.
+        v_k = (1 - k/m) L - sigma B_k is the log growth from s_k = (k/m) tau
+        to tau, L = -nu.  The bridge B from 0 to 0 is built node by node from
+        one normal per interior node and row: in units of sqrt(tau / m),
+        b_k = r_k b_{k-1} + sqrt(r_k) N_k with r_k = (m - k) / (m - k + 1).
         """
-        m, f, weights = self.m, self._fractions, self._weights
-        rows = min(n, self._rows)
-        incr = np.empty((rows, m))
-        w, tmp = np.empty((rows, m + 1)), np.empty((rows, m + 1))
+        m, prem = self.m, self.config.premium
+        decay = self._premium_mode == "exponential_decay"
+        t0, premium_int = 0.0 if t_start is None else t_start, None
         cell = tau / m
-        cell_sd, w_target = np.sqrt(cell), z / sigma
-        drift_tau, sig = np.asarray(mu - hs) * tau, np.broadcast_to(sigma, n)
-        prem, decay = self.config.premium, self._premium_mode == "exponential_decay"
-        exp_integral = np.empty(n)
-        premium_int = np.empty(n) if decay else None
-        r1 = 0
-        while r1 < n:
-            r0, r1 = r1, min(r1 + rows, n)
-            if r1 == n - 1:           # no one-row last block (module doc)
-                r1 -= 4
-            bi, bw, bt = incr[:r1 - r0], w[:r1 - r0], tmp[:r1 - r0]
-            target = w_target[r0:r1, None]
-            streams.brownian.standard_normal(out=bi)
-            bi *= cell_sd[r0:r1, None]
-            bw[:, 0] = 0.0
-            np.cumsum(bi, axis=1, out=bw[:, 1:])
-            np.subtract(target, bw[:, m:], out=bi[:, :1])   # pin gap
-            bw += np.multiply(f, bi[:, :1], out=bt)
-            np.subtract(target, bw, out=bw)
-            bw *= sig[r0:r1, None]
-            bw += np.multiply(drift_tau[r0:r1, None], self._one_minus_f, out=bt)
-            np.exp(bw, out=bw)
-            np.matmul(bw, weights, out=exp_integral[r0:r1])
+        sd = np.sqrt(cell) * sigma
+        b, node, v = np.zeros(len(tau)), np.empty(len(tau)), np.empty(len(tau))
+        growth = np.exp(-nu)
+        if decay:
+            premium_int = (growth * prem.rate(t0) + prem.rate(t0 + tau)) * 0.5
+        exp_integral = (growth + 1.0) * 0.5
+        for k in range(1, m):
+            r = (m - k) / (m - k + 1)
+            streams.brownian.standard_normal(out=node)
+            node *= math.sqrt(r)
+            b *= r
+            b += node
+            np.multiply(nu, -(m - k) / m, out=v)
+            v -= np.multiply(sd, b, out=node)
+            np.exp(v, out=v)
+            exp_integral += v
             if decay:
-                np.multiply(tau[r0:r1, None], f, out=bt)
-                bt += 0.0 if t_start is None else t_start[r0:r1, None]
-                np.matmul(np.multiply(bw, prem.rate(bt), out=bt), weights,
-                          out=premium_int[r0:r1])
+                v *= prem.rate(tau * (k / m) + t0)
+                premium_int += v
         exp_integral *= cell
         if decay:
             premium_int *= cell
@@ -244,6 +237,7 @@ class SupRun(NamedTuple):
     sup: np.ndarray              # max_{k <= n} D_k
     n_terms: np.ndarray          # n
     stopped: np.ndarray          # False for rows still live at the term cap
+    non_finite: np.ndarray       # rows stopped on a NaN or infinite state
 
 
 def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
@@ -258,7 +252,9 @@ def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
     dropped more than ``drop`` below its supremum, or once prod scale <
     rel_tol max(|sup|, scale): the rest of the sum is prod times a fresh copy
     of the whole, of order ``scale``.  The rule reads no reserve or threshold
-    of the caller.  Stopped rows are dropped once fewer than 70 % are live.
+    of the caller.  A row whose state turns NaN stops too, and ``non_finite``
+    marks the rows whose total is not finite.  Stopped rows are dropped once
+    fewer than 70 % are live.
     """
     total, prod, t, buf = (np.zeros(size), np.ones(size), np.zeros(size),
                            np.empty(size))
@@ -266,7 +262,8 @@ def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
     rows, live = np.arange(size), np.ones(size, dtype=bool)
     hit, flag = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     out = SupRun(np.empty(size), np.empty(size),
-                 np.full(size, n_max, dtype=np.int64), np.zeros(size, bool))
+                 np.full(size, n_max, dtype=np.int64), np.zeros(size, bool),
+                 np.empty(size, bool))
     for k in range(1, n_max + 1):
         n = len(total)
         m, q, tau = pairs(streams, t)
@@ -276,14 +273,15 @@ def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
             prod *= m
         if tau is not None:
             t += tau
-        stop = np.greater(np.subtract(sup, total, out=buf[:n]), drop,
-                          out=hit[:n])
+        # written as "keep going" so that a NaN compares as a stop
+        keep = np.less_equal(np.subtract(sup, total, out=buf[:n]), drop,
+                             out=hit[:n])
         if rel_tol > 0.0:          # prod < rel_tol max(|sup| / scale, 1)
             lim = np.abs(sup, out=buf[:n])
             lim *= rel_tol / scale
-            stop |= np.less(prod, np.maximum(lim, rel_tol, out=lim),
-                            out=flag[:n])
-        stop &= live
+            keep &= np.greater_equal(prod, np.maximum(lim, rel_tol, out=lim),
+                                     out=flag[:n])
+        stop = np.greater(live, keep, out=hit[:n])      # live and not keep
         if stop.any():
             r = rows[stop]
             out.total[r], out.sup[r] = total[stop], sup[stop]
@@ -297,6 +295,7 @@ def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
                                          t[live], rows[live])
             live = np.ones(n_live, dtype=bool)
     out.total[rows[live]], out.sup[rows[live]] = total[live], sup[live]
+    np.logical_not(np.isfinite(out.total), out=out.non_finite)
     return out
 
 
@@ -326,13 +325,9 @@ def run_chunked(fn: Callable, total: int, seed: int, workers: int = 1,
     the caller is reproducible bit-for-bit for a fixed (seed, chunk_size),
     whatever ``workers`` is.
     """
-    sizes = []
-    left = int(total)
-    while left > 0:
-        take = min(chunk_size, left)
-        sizes.append(take)
-        left -= take
-    tasks = [(fn, int(seed), i, s, kwargs) for i, s in enumerate(sizes)]
+    starts = range(0, int(total), chunk_size)
+    tasks = [(fn, int(seed), i, min(chunk_size, int(total) - s), kwargs)
+             for i, s in enumerate(starts)]
     if workers <= 1 or len(tasks) == 1:
         return [_run_one_chunk(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -346,6 +341,5 @@ def wilson_halfwidth(successes: int, n: int, z: float = 1.959963984540054
         return 1.0
     p = successes / n
     denom = 1.0 + z * z / n
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return half
+    return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
 

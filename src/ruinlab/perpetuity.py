@@ -59,6 +59,7 @@ class PerpetuityBatch:
     values: np.ndarray
     n_terms: np.ndarray
     converged: np.ndarray
+    non_finite: np.ndarray       # slots stopped on a NaN or infinite state
 
     def converged_values(self) -> np.ndarray:
         return self.values[self.converged]
@@ -146,7 +147,8 @@ def sample_R_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
     """
     run = _run(pair_sampler, n_samples, seed, n_max, rel_tol, workers,
                chunk_size)
-    return PerpetuityBatch(run.total, run.n_terms, run.stopped)
+    return PerpetuityBatch(run.total, run.n_terms,
+                           run.stopped & ~run.non_finite, run.non_finite)
 
 
 def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
@@ -159,7 +161,8 @@ def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
     """
     run = _run(pair_sampler, n_samples, seed, n_max, rel_tol, workers,
                chunk_size)
-    return PerpetuityBatch(run.sup, run.n_terms, run.stopped)
+    return PerpetuityBatch(run.sup, run.n_terms,
+                           run.stopped & ~run.non_finite, run.non_finite)
 
 
 def sample_Rbar_values(config: ModelConfig, n_samples: int, seed: int = 0,

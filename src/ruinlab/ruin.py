@@ -14,11 +14,13 @@ its supremum (walk drop), or once prod M < PSI_REL_TOL max(|sup| / m, 1),
 m the mean claim (contraction).  The rule reads no reserve, so psi_hat(u)
 does not depend on the rest of the grid.  Paths still running after
 ``max_steps`` with a supremum at most u count as survived and are reported
-in ``censored_fraction``.
+in ``censored_fraction``; paths whose state turns NaN or infinite stop there,
+count as neither ruined nor censored, and are reported in
+``non_finite_fraction``.
 
-Paired bias of the contraction tolerance eps on beta2: ruined paths out of
-one 65,536-path chunk, at the stop minus the same rows run on with the rule
-off for 1,600 steps (largest remaining product below 1e-11), seeds 5 / 17:
+Paired bias of the contraction tolerance eps on beta2 (8-node bridge, seeds
+5 / 17): ruined paths of a 65,536-path chunk at the stop minus the same rows
+run on with the rule off for 1,600 steps (largest product left below 1e-11):
 
     eps    steps/path  u = 10    30         100       300 ... 2400
     1e-5   208         -8 / -3   -9 / -14   -1 / -3   0
@@ -60,6 +62,7 @@ class RuinEstimate:
     ci_halfwidth: float          # 95% Wilson half-width
     n_paths: int
     censored_fraction: float
+    non_finite_fraction: float = 0.0   # paths stopped on a NaN or inf state
 
 
 @dataclass(frozen=True)
@@ -126,14 +129,17 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
         pairs, n_paths, seed, workers, chunk_size, n_max=max_steps,
         drop=barrier_level(0.0, config, barrier_multiple),
         scale=barrier_level(0.0, config, 1.0), rel_tol=PSI_REL_TOL)
-    unstopped_sup = run.sup[~run.stopped]
-    ruined = [np.count_nonzero(run.sup > u) for u in u_grid]
+    finite = ~run.non_finite
+    finite_sup, unstopped_sup = run.sup[finite], run.sup[finite & ~run.stopped]
+    ruined = [np.count_nonzero(finite_sup > u) for u in u_grid]
     censored = [np.count_nonzero(unstopped_sup <= u) for u in u_grid]
+    non_finite = np.count_nonzero(run.non_finite) / n_paths
     return [
         RuinEstimate(u=u, psi_hat=ruined[j] / n_paths,
                      ci_halfwidth=wilson_halfwidth(ruined[j], n_paths),
                      n_paths=n_paths,
-                     censored_fraction=censored[j] / n_paths)
+                     censored_fraction=censored[j] / n_paths,
+                     non_finite_fraction=non_finite)
         for j, u in enumerate(u_grid)
     ]
 

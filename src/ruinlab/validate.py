@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -90,11 +90,7 @@ def criterion_lundberg_identity(**_) -> CriterionResult:
     ok = True
     for name, tau in (("exp1", Distribution.exponential(1.0)),
                       ("det1", Distribution.deterministic(1.0))):
-        cfg = ModelConfig(
-            claim_dist=Distribution.exponential(1.0), interarrival_dist=tau,
-            premium=PremiumSpec.constant(0.1),
-            regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
-            mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
+        cfg = replace(beta2_config(), interarrival_dist=tau)
         rep = lundberg_report(cfg, tol=1e-10)
         err = abs(rep.beta - 2.0) if rep.beta is not None else math.inf
         details[f"beta_err_{name}"] = err
@@ -163,12 +159,12 @@ def criterion_power_tail(workers: Optional[int] = None,
     slopes of psi_hat on one coupled 1e6-path run (seed 42) are
 
         u        10->30  30->100  100->300  300->600  600->1200  1200->2400
-        slope    -0.66   -1.46    -1.82     -1.93     -2.00      -2.02
+        slope    -0.66   -1.45    -1.81     -1.91     -1.92      -2.01
 
     The rule for the grid: every reserve is at least 6 E R, where the local
     slope is within noise of -beta.  On u in {300, 600, 1200, 2400} the fit
-    gives slope -1.961 and spread 1.05 (seed 42); inside the body, on
-    u in {10, 30, 100, 300}, it gives slope -0.838 and spread 10.2.
+    gives slope -1.921 and spread 1.12 (seed 42); inside the body, on
+    u in {10, 30, 100, 300}, it gives slope -0.837 and spread 10.5.
     """
     workers = workers or _default_workers()
     cfg = beta2_config()

@@ -179,7 +179,7 @@ def test_ruin_outputs_deterministic(tmp_path, capsys):
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, BETA2)
-    args = ["ruin", "--config", cfg, "--u", "5", "--paths", "2000",
+    args = ["ruin", "--config", cfg, "--u", "5,30", "--paths", "2000",
             "--workers", "1"]
     monkeypatch.setenv("RUINLAB_SEED", "123")
     main(args + ["--out", str(tmp_path / "env1")])

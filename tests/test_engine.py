@@ -7,48 +7,42 @@ import pytest
 
 from ruinlab import (Distribution, ModelConfig, PremiumSpec, RegimeSpec,
                      RngStreams, ThetaLaw, sample_nu)
-from ruinlab.engine import _BLOCK_FLOATS, StepKernel
+from ruinlab.engine import (_BLOCK_FLOATS, DEFAULT_PREMIUM_NODES, StepKernel,
+                            discounted_sup)
+from bridge_audit import paired_audit
 from oracles import _draw_step
 from test_ruin import piecewise_cfg
 
 
-def _bridge_reference(kernel, streams, n, tau, mu, hs, sigma, z, t_start):
-    """Full-width oracle: the pinned bridge as one (n, m + 1) computation.
+def _bridge_reference(kernel, normals, tau, nu, sigma, t_start):
+    """Per-row oracle of the node-major bridge, one row at a time.
 
-    The kernel walks the rows in blocks with in-place steps; every element
-    goes through the same rounding steps here, so results must agree bit for
-    bit, and both must consume the same number of Brownian normals.  The
-    (n, m + 1) @ (m + 1,) product runs on OpenBLAS threads from 460,800
-    elements on; at 65,536 rows they split it on multiples of four rows, as
-    a single thread would, when their number is a power of two.
+    ``normals[k - 1, i]`` is row i's normal at interior node k.  Every float
+    goes through the kernel's rounding steps in the same order, and exp
+    through the same numpy loop, so results must agree bit for bit.
     """
-    m = kernel.m
-    f = np.arange(m + 1) / m
-    cell_sd = np.sqrt(tau / m)
-    incr = streams.brownian.standard_normal((n, m)) * cell_sd[:, None]
-    w = np.empty((n, m + 1))
-    w[:, 0] = 0.0
-    np.cumsum(incr, axis=1, out=w[:, 1:])
-    w_target = z / sigma
-    w += f[None, :] * (w_target - w[:, m])[:, None]
-    drift = np.asarray(mu - hs)
-    v = (drift * tau)[..., None] * (1.0 - f)[None, :] \
-        + np.asarray(sigma)[..., None] * (w_target[:, None] - w)
-    np.exp(v, out=v)
-    weights = np.full(m + 1, 1.0)
-    weights[0] = weights[m] = 0.5
-    cell = (tau / m)
-    exp_integral = (v @ weights) * cell
-    prem = kernel.config.premium
+    m, prem = kernel.m, kernel.config.premium
+    decay = prem.mode == "exponential_decay"
+    sig = np.broadcast_to(sigma, tau.shape)
+    exp_integral, premium_int = np.empty(len(tau)), np.empty(len(tau))
+    for i, (t, n_i, s_i, t0) in enumerate(zip(tau, nu, sig, t_start)):
+        cell = t / m
+        sd = np.sqrt(cell) * s_i
+        growth = np.exp(-n_i)
+        prem_acc = (growth * prem.rate(t0) + prem.rate(t0 + t)) * 0.5
+        acc = (growth + 1.0) * 0.5
+        b = 0.0
+        for k in range(1, m):
+            r = (m - k) / (m - k + 1)
+            b = b * r + normals[k - 1, i] * math.sqrt(r)
+            e = np.exp(n_i * (-(m - k) / m) - sd * b)
+            acc += e
+            prem_acc += e * prem.rate(t * (k / m) + t0)
+        exp_integral[i], premium_int[i] = acc * cell, prem_acc * cell
     if prem.is_zero:
         return exp_integral, None
     if prem.mode == "constant":
         return exp_integral, prem.c * exp_integral
-    if t_start is None:
-        t_start = np.zeros(n)
-    s_nodes = t_start[:, None] + tau[:, None] * f[None, :]
-    rates = prem.rate(s_nodes)
-    premium_int = ((v * rates) @ weights) * cell
     return exp_integral, premium_int
 
 
@@ -73,8 +67,8 @@ def _config(theta, premium):
 
 
 def _inputs(kernel, n, seed):
-    """Interval lengths, coefficients and endpoint draws as ``sample`` forms
-    them, plus a nonzero premium clock."""
+    """Interval lengths, nu and sigma as ``sample`` forms them, plus a
+    nonzero premium clock."""
     rng = np.random.default_rng(seed)
     tau = kernel.config.interarrival_dist.sample(rng, n)
     if kernel._point:
@@ -83,33 +77,61 @@ def _inputs(kernel, n, seed):
     else:
         mu, hs = kernel._theta.sample(rng, n)
         sigma = np.sqrt(2.0 * hs)
-    z = rng.standard_normal(n) * (sigma * np.sqrt(tau))
-    t_start = rng.uniform(0.0, 50.0, n)
-    return tau, mu, hs, sigma, z, t_start
+    nu = -((mu - hs) * tau + rng.standard_normal(n) * (sigma * np.sqrt(tau)))
+    return tau, nu, sigma, rng.uniform(0.0, 50.0, n)
 
 
 @pytest.mark.parametrize("premium", sorted(PREMIUMS))
 @pytest.mark.parametrize("theta", sorted(THETAS))
-@pytest.mark.parametrize("m", [2, 8, 33])
-def test_blocked_bridge_matches_full_width_oracle(m, theta, premium):
+@pytest.mark.parametrize("m", [1, 2, 8, 33])
+def test_node_major_bridge_matches_per_row_reference(m, theta, premium):
     kernel = StepKernel(_config(THETAS[theta], PREMIUMS[premium]), m)
-    rows = kernel._rows
-    for n in (1, 7, rows - 1, rows, rows + 1, 3 * rows + 5, 65536):
-        args = _inputs(kernel, n, seed=n + m)
+    for n in (1, 7, 300):
+        tau, nu, sigma, t_start = _inputs(kernel, n, seed=n + m)
         ours, ref = RngStreams.from_seed(17, n), RngStreams.from_seed(17, n)
-        got = kernel._bridge_integrals(ours, n, *args)
-        want = _bridge_reference(kernel, ref, n, *args)
+        got = kernel._bridge_integrals(ours, tau, nu, sigma, t_start)
+        normals = ref.brownian.standard_normal((m - 1, n))
+        want = _bridge_reference(kernel, normals, tau, nu, sigma, t_start)
         assert np.array_equal(got[0], want[0]), (n, "exp_integral")
         if want[1] is None:
             assert got[1] is None
         else:
             assert np.array_equal(got[1], want[1]), (n, "premium_int")
+        # each row consumed exactly m - 1 Brownian normals
         assert ours.brownian.standard_normal() == ref.brownian.standard_normal()
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_bridge_mean_is_trapezoid_of_mean_growth(m):
+    # E e^{v(s)} = e^{mu (tau - s)} at every node, so E of the m-node
+    # integral is the trapezoid of e^{mu (tau - s)}.  The bridge carries
+    # E e^{-sigma B_k} = e^{sigma^2 s_k (tau - s_k) / (2 tau)}, up to 6 % at
+    # sigma^2 tau = 0.5, so a bridge of the wrong variance moves the mean.
+    mu, hs, tau, n = 0.06, 0.05, 5.0, 1 << 16
+    cfg = _config(ThetaLaw.point_mass(mu, hs), PREMIUMS["constant"])
+    kernel, rng = StepKernel(cfg, m), np.random.default_rng(m)
+    sigma = math.sqrt(2.0 * hs)
+    taus = np.full(n, tau)
+    nu = -((mu - hs) * tau + sigma * math.sqrt(tau) * rng.standard_normal(n))
+    got, _ = kernel._bridge_integrals(RngStreams.from_seed(m), taus, nu,
+                                      sigma, None)
+    nodes = np.exp(mu * tau * (1.0 - np.arange(m + 1) / m))
+    want = tau / m * (nodes.sum() - (nodes[0] + nodes[-1]) / 2.0)
+    assert abs(got.mean() - want) < 4.0 * got.std() / math.sqrt(n)
+
+
+def test_default_node_count_passes_reduced_audit():
+    # One chunk of the audit behind the module docstring's table: the
+    # default m's paired bias is within three of its standard errors of
+    # the bar at every audited reserve.
+    audit = paired_audit(_config(THETAS["point"], PREMIUMS["constant"]),
+                         8192, 1, seed=29, ms=(DEFAULT_PREMIUM_NODES,))
+    assert np.all(np.abs(audit.bias) <= audit.bar + 3.0 * audit.bias_se)
 
 
 def test_step_allocates_no_full_width_bridge_temporaries():
     # One stray (n, m + 1) float64 temporary at n = 65536, m = 8 adds 4.7 MB;
-    # the blocked bridge keeps a whole step near 6 MB.
+    # the node-major bridge keeps a whole step near 6 MB.
     beta2 = _config(THETAS["point"], PREMIUMS["constant"])
     kernel = StepKernel(beta2)
     streams = RngStreams.from_seed(3)
@@ -122,6 +144,37 @@ def test_step_allocates_no_full_width_bridge_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _nan_on_call(call, pairs):
+    """``pairs`` with the increment of row 0 set to NaN on its ``call``-th
+    call."""
+    calls = []
+
+    def wrapped(streams, t):
+        m, q, tau = pairs(streams, t)
+        calls.append(None)
+        if len(calls) == call:
+            q[0] = math.nan
+        return m, q, tau
+    return wrapped
+
+
+@pytest.mark.parametrize("rule", [dict(rel_tol=1e-6), dict(drop=20.0)],
+                         ids=["contraction", "walk_drop"])
+def test_nan_increment_stops_its_row(rule):
+    def halving(streams, t):                 # D_n -> 2, prod = 2^-n
+        return np.full(len(t), 0.5), np.ones(len(t)), None
+
+    def walk(streams, t):                    # drift -1 a term
+        return None, streams.brownian.standard_normal(len(t)) - 1.0, None
+
+    pairs = halving if "rel_tol" in rule else walk
+    run = discounted_sup(RngStreams.from_seed(4), 64,
+                         pairs=_nan_on_call(3, pairs), n_max=10_000, **rule)
+    assert run.non_finite[0] and run.stopped[0] and run.n_terms[0] == 3
+    assert not run.non_finite[1:].any() and run.stopped[1:].all()
+    assert np.isfinite(run.total[1:]).all() and run.n_terms[1:].min() > 3
 
 
 def _assert_matches_oracle(cfg, n_rows, calls, t0):
