@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,44 @@ def test_node_major_bridge_matches_per_row_reference(m, theta, premium):
             assert np.array_equal(got[1], want[1]), (n, "premium_int")
         # each row consumed exactly m - 1 Brownian normals
         assert ours.brownian.standard_normal() == ref.brownian.standard_normal()
+
+
+class _ReplayNormals:
+    """Stands in for ``streams.brownian``: hands out one given row of normals
+    per ``standard_normal(out=...)`` call."""
+
+    def __init__(self, normals):
+        self._nodes = iter(normals)
+
+    def standard_normal(self, out):
+        out[...] = next(self._nodes)
+        return out
+
+
+@pytest.mark.parametrize("premium", sorted(PREMIUMS))
+@pytest.mark.parametrize("theta", sorted(THETAS))
+@pytest.mark.parametrize("m", [2, 8, 33])
+def test_blocked_bridge_matches_full_width_oracle(m, theta, premium):
+    # A row's integrals depend on its own normals only: the bridge run over
+    # uneven row blocks, fed each block's slice of the node-major normals,
+    # matches one full-width call bit for bit.
+    kernel = StepKernel(_config(THETAS[theta], PREMIUMS[premium]), m)
+    n, cuts = 1000, [0, 1, 8, 9, 300, 1000]
+    tau, nu, sigma, t_start = _inputs(kernel, n, seed=m)
+    full = RngStreams.from_seed(29, m)
+    normals = RngStreams.from_seed(29, m).brownian.standard_normal((m - 1, n))
+    want = kernel._bridge_integrals(full, tau, nu, sigma, t_start)
+    for r0, r1 in zip(cuts, cuts[1:]):
+        rows = slice(r0, r1)
+        block = SimpleNamespace(brownian=_ReplayNormals(normals[:, rows]))
+        sig = sigma[rows] if isinstance(sigma, np.ndarray) else sigma
+        got = kernel._bridge_integrals(block, tau[rows], nu[rows], sig,
+                                       t_start[rows])
+        assert np.array_equal(got[0], want[0][rows]), (r0, "exp_integral")
+        if want[1] is None:
+            assert got[1] is None
+        else:
+            assert np.array_equal(got[1], want[1][rows]), (r0, "premium_int")
 
 
 @pytest.mark.parametrize("m", [1, 2, 8])
