@@ -27,11 +27,12 @@ rows go through blocks of about ``_BLOCK_FLOATS`` cells.
 
 Node count m, by a paired audit on beta2 (``tests/bridge_audit.py``, 24
 chunks of 65,536 paths, seed 11) in which every m reads its nodes off one
-32-cell bridge on the same draws: ruined paths per 65,536 at m minus at the
-32-cell trapezoid / paired SE; bar, a third of the 1e6-path SE of psi_hat;
-KS, 1e4 times the KS statistic of one step's growth integral against the
-32-cell trapezoid (524,288 steps, 5 % point 27 for independent samples), for
-the trapezoid / the log-linear cell rule h (e^b - e^a) / (b - a):
+32-cell bridge on the same draws and integrates them with this bridge:
+ruined paths per 65,536 at m minus at 32 nodes / paired SE; bar, a third of
+the 1e6-path SE of psi_hat; KS, 1e4 times the KS statistic of one step's
+growth integral against the 32-node one (524,288 steps, 5 % point 27 for
+independent samples), for the trapezoid / the log-linear cell rule
+h (e^b - e^a) / (b - a):
 
     m    u = 10    30        100       300       1000      2400      KS
     1    -3.0/1.3  +0.3/1.5  +1.2/0.6  -0.1/0.2  +0.1/0.1  -0.1/0.1  15/16
@@ -80,7 +81,8 @@ class StepKernel:
 
     ``premium_nodes`` is the Brownian-bridge node count m of the growth
     integral in constant mode; the integral enters only through the premium
-    term, and the audit in the module docstring sets the default.
+    term, and the audit in the module docstring sets the default.  The
+    audit runs its 32-node reference and every m through this bridge.
     Piecewise regimes integrate over their own cell nodes instead.
     """
 
@@ -110,17 +112,19 @@ class StepKernel:
             need_claim and self._premium_mode != "zero")
         exp_integral = premium_int = None
         if not self.investment:
-            nu, exp_integral = np.zeros(n), tau
-            t0 = 0.0 if t_start is None else t_start
-            if self._premium_mode != "zero":
-                premium_int = cfg.premium.integral(t0, t0 + tau)
+            nu = np.zeros(n)
+            exp_integral = tau
+            premium_int = self._classical_premium(tau, t_start, n)
         elif self._piecewise:
             nu, exp_integral, premium_int = self._cell_steps(
                 streams, tau, t_start, want_integrals)
         else:
-            mu, hs = ((self._mu0, self._hs0) if self._point
-                      else self._theta.sample(streams.regime, n))
-            sigma = np.sqrt(2.0 * hs)
+            if self._point:
+                mu, hs = self._mu0, self._hs0
+                sigma = math.sqrt(2.0 * self._hs0)
+            else:
+                mu, hs = self._theta.sample(streams.regime, n)
+                sigma = np.sqrt(2.0 * hs)
             k_tot = (mu - hs) * tau
             z = streams.brownian.standard_normal(n) * (sigma * np.sqrt(tau))
             nu = -(k_tot + z)
@@ -134,6 +138,14 @@ class StepKernel:
             zeta = -claim if premium_int is None else premium_int - claim
         return StepBlock(tau=tau, nu=nu, claim=claim, zeta=zeta,
                          exp_integral=exp_integral if need_exp_integral else None)
+
+    def _classical_premium(self, tau, t_start, n):
+        prem = self.config.premium
+        if self._premium_mode == "zero":
+            return None
+        if t_start is None:
+            t_start = np.zeros(n)
+        return prem.integral(t_start, t_start + tau)
 
     def _cell_steps(self, streams, tau, t_start, want_integrals):
         """nu and the growth and premium integrals over piecewise cells.
@@ -325,9 +337,13 @@ def run_chunked(fn: Callable, total: int, seed: int, workers: int = 1,
     the caller is reproducible bit-for-bit for a fixed (seed, chunk_size),
     whatever ``workers`` is.
     """
-    starts = range(0, int(total), chunk_size)
-    tasks = [(fn, int(seed), i, min(chunk_size, int(total) - s), kwargs)
-             for i, s in enumerate(starts)]
+    sizes = []
+    left = int(total)
+    while left > 0:
+        take = min(chunk_size, left)
+        sizes.append(take)
+        left -= take
+    tasks = [(fn, int(seed), i, s, kwargs) for i, s in enumerate(sizes)]
     if workers <= 1 or len(tasks) == 1:
         return [_run_one_chunk(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -341,5 +357,6 @@ def wilson_halfwidth(successes: int, n: int, z: float = 1.959963984540054
         return 1.0
     p = successes / n
     denom = 1.0 + z * z / n
-    return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    return half
 

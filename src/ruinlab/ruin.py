@@ -129,9 +129,10 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
         pairs, n_paths, seed, workers, chunk_size, n_max=max_steps,
         drop=barrier_level(0.0, config, barrier_multiple),
         scale=barrier_level(0.0, config, 1.0), rel_tol=PSI_REL_TOL)
-    finite = ~run.non_finite
-    finite_sup, unstopped_sup = run.sup[finite], run.sup[finite & ~run.stopped]
-    ruined = [np.count_nonzero(finite_sup > u) for u in u_grid]
+    bad_sup = run.sup[run.non_finite]           # no full-width copy of sup
+    unstopped_sup = run.sup[~(run.stopped | run.non_finite)]
+    ruined = [np.count_nonzero(run.sup > u) - np.count_nonzero(bad_sup > u)
+              for u in u_grid]
     censored = [np.count_nonzero(unstopped_sup <= u) for u in u_grid]
     non_finite = np.count_nonzero(run.non_finite) / n_paths
     return [

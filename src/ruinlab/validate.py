@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -90,7 +90,11 @@ def criterion_lundberg_identity(**_) -> CriterionResult:
     ok = True
     for name, tau in (("exp1", Distribution.exponential(1.0)),
                       ("det1", Distribution.deterministic(1.0))):
-        cfg = replace(beta2_config(), interarrival_dist=tau)
+        cfg = ModelConfig(
+            claim_dist=Distribution.exponential(1.0), interarrival_dist=tau,
+            premium=PremiumSpec.constant(0.1),
+            regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
+            mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
         rep = lundberg_report(cfg, tol=1e-10)
         err = abs(rep.beta - 2.0) if rep.beta is not None else math.inf
         details[f"beta_err_{name}"] = err

@@ -3,10 +3,13 @@
 Every step draws the interval, the endpoint normal, one fine bridge of
 ``fine`` cells and the claim, once for all rows.  Each node count m reads
 the fine bridge at every (fine / m)-th node, so every m sees the same draws
-and its nodes carry the law of an m-node bridge.  Each m runs its own copy
-of the ruin chain D_n with the engine's stopping rule, and the fine
-trapezoid runs the reference copy; rows are never compacted, and a chunk
-ends when every copy of every row has stopped.  Reported per m:
+and its nodes carry the law of an m-node bridge.  The normals that build
+those nodes in the engine's recursion are fed to ``StepKernel`` with m
+nodes, so every growth integral, the fine reference's too, is the engine's
+own.  Each m runs its own copy of the ruin chain D_n with the engine's
+stopping rule, and the fine trapezoid runs the reference copy; rows are
+never compacted, and a chunk ends when every copy of every row has stopped.
+Reported per m:
 
 * the net paired ruin count, ruined at m minus ruined at the reference, per
   65,536 paths, with its standard error sqrt(discordant pairs);
@@ -24,12 +27,14 @@ from __future__ import annotations
 import argparse
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
 from ruinlab import load_experiment
+from ruinlab.engine import StepKernel
 from ruinlab.model import ModelConfig, RngStreams
 from ruinlab.ruin import PSI_REL_TOL, barrier_level
 
@@ -66,6 +71,28 @@ class Audit:
         return np.sqrt(psi * (1.0 - psi) / 1e6) / 3.0 * PER
 
 
+class ReplayNormals:
+    """Stands in for ``streams.brownian``: hands out one given row of normals
+    per ``standard_normal(out=...)`` call."""
+
+    def __init__(self, normals):
+        self._nodes = iter(normals)
+
+    def standard_normal(self, out):
+        out[...] = next(self._nodes)
+        return out
+
+
+def _node_normals(b: np.ndarray, m: int) -> np.ndarray:
+    """The m - 1 normals whose bridge recursion in ``StepKernel`` rebuilds
+    the fine bridge ``b`` (rows 0..fine, in units of sqrt(tau / fine)) at
+    every (fine / m)-th node."""
+    fine = len(b) - 1
+    nodes = b[::fine // m] * math.sqrt(m / fine)    # units of sqrt(tau / m)
+    r = ((m - np.arange(1, m)) / (m - np.arange(1, m) + 1))[:, None]
+    return (nodes[1:m] - r * nodes[:m - 1]) / np.sqrt(r)
+
+
 def _loglinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(e^b - e^a) / (b - a), e^a where b == a."""
     d = b - a
@@ -82,6 +109,7 @@ def _chunk(config: ModelConfig, streams: RngStreams, n: int, ms, fine: int,
     drop = barrier_level(0.0, config, barrier_multiple)
     scale = barrier_level(0.0, config, 1.0)
     every = ms + (fine,)                     # the ms, then the reference
+    kernels = {m: StepKernel(config, m) for m in every}
     total, sup = np.zeros((len(every), n)), np.full((len(every), n), -np.inf)
     sup_at, live = np.empty_like(sup), np.ones(sup.shape, dtype=bool)
     prod = np.ones(n)
@@ -92,26 +120,22 @@ def _chunk(config: ModelConfig, streams: RngStreams, n: int, ms, fine: int,
         sigma = np.sqrt(2.0 * np.asarray(hs, dtype=float))
         z = streams.brownian.standard_normal(n) * (sigma * np.sqrt(tau))
         nu = -((mu - hs) * tau + z)
-        trap = {m: 0.5 * (np.exp(-nu) + 1.0) for m in every}
-        loglin = {m: np.zeros(n) for m in every}
-        prev = {m: -nu for m in every}
-        sd, b = np.sqrt(tau / fine) * sigma, np.zeros(n)
-        for j in range(1, fine + 1):
-            if j < fine:
-                r = (fine - j) / (fine - j + 1)
-                b = r * b + math.sqrt(r) * streams.brownian.standard_normal(n)
-                v = -(fine - j) / fine * nu - sd * b
-            else:
-                v = np.zeros(n)
-            e = np.exp(v)
-            for m in every:
-                if j % (fine // m) == 0:
-                    if j < fine:
-                        trap[m] += e
-                    loglin[m] += _loglinear(prev[m], v)
-                    prev[m] = v
-        integrals = {m: (trap[m] * (tau / m), loglin[m] * (tau / m))
-                     for m in every}
+        normals = streams.brownian.standard_normal((fine - 1, n))
+        b = np.zeros((fine + 1, n))          # b[0] = b[fine] = 0
+        for j in range(1, fine):
+            r = (fine - j) / (fine - j + 1)
+            b[j] = r * b[j - 1] + math.sqrt(r) * normals[j - 1]
+        v = (-nu * (1.0 - np.arange(fine + 1) / fine)[:, None]
+             - np.sqrt(tau / fine) * sigma * b)
+        integrals = {}
+        for m in every:
+            coarse = normals if m == fine else _node_normals(b, m)
+            replay = SimpleNamespace(brownian=ReplayNormals(coarse))
+            trap, _ = kernels[m]._bridge_integrals(replay, tau, nu, sigma,
+                                                   None)
+            vm = v[::fine // m]
+            integrals[m] = (trap, _loglinear(vm[:-1], vm[1:]).sum(axis=0)
+                            * (tau / m))
         if first is None:
             first = integrals
         growth = np.exp(nu)

@@ -10,7 +10,7 @@ from ruinlab import (Distribution, ModelConfig, PremiumSpec, RegimeSpec,
                      RngStreams, ThetaLaw, sample_nu)
 from ruinlab.engine import (_BLOCK_FLOATS, DEFAULT_PREMIUM_NODES, StepKernel,
                             discounted_sup)
-from bridge_audit import paired_audit
+from bridge_audit import ReplayNormals, paired_audit
 from oracles import _draw_step
 from test_ruin import piecewise_cfg
 
@@ -102,18 +102,6 @@ def test_node_major_bridge_matches_per_row_reference(m, theta, premium):
         assert ours.brownian.standard_normal() == ref.brownian.standard_normal()
 
 
-class _ReplayNormals:
-    """Stands in for ``streams.brownian``: hands out one given row of normals
-    per ``standard_normal(out=...)`` call."""
-
-    def __init__(self, normals):
-        self._nodes = iter(normals)
-
-    def standard_normal(self, out):
-        out[...] = next(self._nodes)
-        return out
-
-
 @pytest.mark.parametrize("premium", sorted(PREMIUMS))
 @pytest.mark.parametrize("theta", sorted(THETAS))
 @pytest.mark.parametrize("m", [2, 8, 33])
@@ -129,7 +117,7 @@ def test_blocked_bridge_matches_full_width_oracle(m, theta, premium):
     want = kernel._bridge_integrals(full, tau, nu, sigma, t_start)
     for r0, r1 in zip(cuts, cuts[1:]):
         rows = slice(r0, r1)
-        block = SimpleNamespace(brownian=_ReplayNormals(normals[:, rows]))
+        block = SimpleNamespace(brownian=ReplayNormals(normals[:, rows]))
         sig = sigma[rows] if isinstance(sigma, np.ndarray) else sigma
         got = kernel._bridge_integrals(block, tau[rows], nu[rows], sig,
                                        t_start[rows])
@@ -160,19 +148,37 @@ def test_bridge_mean_is_trapezoid_of_mean_growth(m):
 
 
 def test_default_node_count_passes_reduced_audit():
-    # One chunk of the audit behind the module docstring's table: the
-    # default m's paired bias is within three of its standard errors of
-    # the bar at every audited reserve.
+    # One chunk of the audit behind the module docstring's table, with the
+    # engine's own integrals at the default m and at 32 nodes: the paired
+    # bias is within three of its standard errors of the bar at every
+    # audited reserve.  At this size the paired SE at u = 10 and 30 is about
+    # 18 paths per 65,536 (5 discordant pairs of 8,192), so the test catches
+    # a systematic bias of about 60 paths per 65,536, ten times the bar; the
+    # full audit in the table is what resolves the bar itself.
     audit = paired_audit(_config(THETAS["point"], PREMIUMS["constant"]),
                          8192, 1, seed=29, ms=(DEFAULT_PREMIUM_NODES,))
     assert np.all(np.abs(audit.bias) <= audit.bar + 3.0 * audit.bias_se)
+
+
+def test_default_step_integral_is_closed_form_trapezoid():
+    # At the default m = 1 a constant-mode step draws one Brownian normal a
+    # row (the endpoint), and its growth integral is tau (e^{-nu} + 1) / 2.
+    assert DEFAULT_PREMIUM_NODES == 1
+    cfg = _config(THETAS["finite"], PREMIUMS["constant"])
+    ours, ref = RngStreams.from_seed(5), RngStreams.from_seed(5)
+    blk = StepKernel(cfg).sample(ours, 1000, need_exp_integral=True)
+    want = (np.exp(-blk.nu) + 1.0) * 0.5 * blk.tau
+    assert np.array_equal(blk.exp_integral, want)
+    assert np.array_equal(blk.zeta, 0.1 * want - blk.claim)
+    ref.brownian.standard_normal(1000)
+    assert ours.brownian.standard_normal() == ref.brownian.standard_normal()
 
 
 def test_step_allocates_no_full_width_bridge_temporaries():
     # One stray (n, m + 1) float64 temporary at n = 65536, m = 8 adds 4.7 MB;
     # the node-major bridge keeps a whole step near 6 MB.
     beta2 = _config(THETAS["point"], PREMIUMS["constant"])
-    kernel = StepKernel(beta2)
+    kernel = StepKernel(beta2, 8)
     streams = RngStreams.from_seed(3)
     n = 1 << 16
     kernel.sample(streams, n)
