@@ -151,10 +151,10 @@ def cmd_ruin(args) -> int:
         barrier_multiple=block.get("barrier_multiple", 1_000.0),
         seed=seed, workers=args.workers)
     base = _out_base(args, exp)
-    rows = [[e.u, e.psi_hat, e.ci_halfwidth, e.censored_fraction]
-            for e in ests]
-    _write_csv(rows, ["u", "psi_hat", "ci_halfwidth", "censored_fraction"],
-               f"{base}.csv" if base else None)
+    rows = [[e.u, e.psi_hat, e.ci_halfwidth, e.censored_fraction,
+             e.non_finite_fraction] for e in ests]
+    _write_csv(rows, ["u", "psi_hat", "ci_halfwidth", "censored_fraction",
+                      "non_finite_fraction"], f"{base}.csv" if base else None)
     doc = {}
     positive = [e for e in ests if e.psi_hat > 0]
     if len(ests) >= 4 and len(positive) >= 2:
@@ -206,7 +206,8 @@ def cmd_perpetuity(args) -> int:
     slope = _tail_slope(vals)
     doc = {"beta_used": report.beta, "c_hat": goldie.c_hat,
            "stderr": goldie.stderr, "ks": ks, "tail_slope": slope,
-           "n_samples": int(len(vals)), "discard_rate": batch.discard_rate}
+           "n_samples": int(len(vals)), "discard_rate": batch.discard_rate,
+           "non_finite": int(np.count_nonzero(batch.non_finite))}
     _dump_json(doc, _out_base(args, exp))
     print(f"perpetuity: beta={report.beta:.6g} c_hat={goldie.c_hat:.6g} "
           f"ks={ks:.4f}", file=sys.stderr)

@@ -213,12 +213,14 @@ class StepKernel:
         decay = self._premium_mode == "exponential_decay"
         t0, premium_int = 0.0 if t_start is None else t_start, None
         cell = tau / m
-        sd = np.sqrt(cell) * sigma
-        b, node, v = np.zeros(len(tau)), np.empty(len(tau)), np.empty(len(tau))
         growth = np.exp(-nu)
         if decay:
             premium_int = (growth * prem.rate(t0) + prem.rate(t0 + tau)) * 0.5
         exp_integral = (growth + 1.0) * 0.5
+        if m > 1:
+            sd = np.sqrt(cell) * sigma
+            b, node, v = (np.zeros(len(tau)), np.empty(len(tau)),
+                          np.empty(len(tau)))
         for k in range(1, m):
             r = (m - k) / (m - k + 1)
             streams.brownian.standard_normal(out=node)

@@ -9,22 +9,22 @@ so the step-multiplier transform is the inter-arrival MGF averaged over a
 linear functional of the coefficient vector.  The decay exponent beta is
 the positive root of phi_nu(beta) = 1 when one exists.
 
-When the inter-arrival MGF has a finite endpoint q_tau with divergent
-value, finiteness of phi_nu at its own endpoint is a geometric question:
-the ray <u(q), .> = q_tau sweeps toward the support of Theta as q grows,
-first touching it at q_plus, and everything depends on how much probability
-sits near the touching ray.  The gap variable
+Both phi_nu(q) and its endpoint value are one expectation over a gap law.
+Given a level a >= <u(q), Theta> on the support, the gap
 
-    H = q_tau + q_plus mu - q_plus (q_plus + 1) sigma^2/2  >= 0
+    H_q = a - <u(q), Theta> = a + q mu - q (q + 1) sigma^2/2  >= 0
 
-captures that concentration: phi_nu(q_plus) = E phi_tau(q_tau - H) is
-infinite exactly when that integral diverges at H = 0.  The gap law has a
-mass exponent at 0, P(H <= h) ~ c h^rho, and phi_tau(q_tau - h) ~ c' h^-k
-with k the pole order of the inter-arrival MGF, so the integral is finite
-iff rho > k.  ``classify_endpoint`` applies that one rule to every support
-shape, reading rho off the geometry, and evaluates a finite integral once
-per gap law: exact sums for finite Theta, ``theta.countable_sum`` (an exact
-head and an Euler-Maclaurin tail) for the zeta series, quadrature of a
+turns the integrand into g(H_q) = phi_tau(a - H_q).  For exponential and
+gamma inter-arrivals a is the MGF endpoint q_tau and g(h) = (s h)^-k exactly
+for every h > 0, k the pole order; for other laws a is the top level of the
+support and g(h) = phi_tau(a - h).  The ray <u(q), .> = q_tau sweeps toward
+the support as q grows and first touches it at q_plus; there the gap law
+has a mass exponent at 0, P(H <= h) ~ c h^rho, and E g(H) is finite iff
+rho > k, whatever the support shape.  Below q_plus nothing touches, rho is
+infinite and the expectation is finite.  One function per gap-law kind
+evaluates E g(H), split at a gap delta for ``classify_endpoint``: exact sums
+for finite Theta, ``theta.countable_sum`` (an exact head and an
+Euler-Maclaurin tail) for the zeta series, quadrature in log h of a
 polygon's level density, and nested quadrature of a product law's
 marginals.
 """
@@ -71,13 +71,16 @@ def _inner(q: float, x, y):
 
 @dataclass(frozen=True)
 class HLaw:
-    """Law of the tangent gap H, in whichever form the support shape allows,
-    with its mass exponent ``rho`` at zero: P(H <= h) ~ c h^rho as h -> 0.
+    """Law of the gap H, in whichever form the support shape allows, with
+    its mass exponent ``rho`` at zero: P(H <= h) ~ c h^rho as h -> 0
+    (infinite when no support point touches the level).
 
     ``discrete``: finitely many atoms; ``series``: countable atoms given by
-    vectorized index functions; ``polygon``: a density with kinks at the
-    vertex gaps; ``product``: the laws of mu - mu_min and
-    sigma^2/2_max - sigma^2/2.
+    vectorized index functions; ``polygon``: the smallest gap plus a part
+    with a density that has kinks at the vertices; ``product``: the laws of
+    the two independent parts of H,
+    h0 + q (mu - mu_min) and q (q + 1) (sigma^2/2_max - sigma^2/2), with h0
+    the gap of the corner (mu_min, sigma^2/2_max).
     """
 
     kind: str
@@ -85,9 +88,10 @@ class HLaw:
     atoms: Optional[tuple] = None          # ((h, prob), ...)
     h_fn: Optional[Callable] = None        # j-array -> h-array (nonincreasing)
     p_fn: Optional[Callable] = None
-    density: Optional[Callable] = None     # polygon: h -> density of H
-    kinks: tuple = ()                      # polygon: sorted vertex gaps
-    marginals: tuple = ()                  # product: distances from the corner
+    offset: float = 0.0                    # polygon: the smallest gap
+    density: Optional[Callable] = None     # polygon: density of H - offset
+    kinks: tuple = ()                      # polygon: sorted vertex values
+    marginals: tuple = ()                  # product: the two parts of H
 
 
 @dataclass(frozen=True)
@@ -187,36 +191,44 @@ def q_plus_compute(theta: ThetaLaw, q_tau: float) -> TangentGeometry:
         raise DistributionError(
             "support admits no tangent ray; check boundedness to the left "
             "and above")
-    on_line = np.abs(_inner(q_plus, x, y) - q_tau) <= _TOUCH_TOL * max(1.0, q_tau)
+    levels = _inner(q_plus, x, y)
+    on_line = np.abs(levels - q_tau) <= _TOUCH_TOL * max(1.0, q_tau)
     touching = tuple(dict.fromkeys(map(tuple, pts[on_line].tolist())))
-    h_law = _build_h_law(theta, q_plus, q_tau)
+    h_law = _build_h_law(theta, q_plus, q_tau, float(np.max(levels)))
+    if h_law.rho == math.inf and theta.kind == "polytope_uniform":
+        raise DistributionError("no polygon vertex lies on the ray")
     return TangentGeometry(q_plus=q_plus, q_tau=q_tau,
                            touching_points=touching, h_law=h_law)
 
 
-def _build_h_law(theta: ThetaLaw, q_plus: float, q_tau: float) -> HLaw:
-    """The gap law and its mass exponent rho, read off the support geometry.
+def _build_h_law(theta: ThetaLaw, q: float, a: float, top: float) -> HLaw:
+    """The law of H = a - <u(q), Theta> and its mass exponent rho, read off
+    the support geometry; ``top`` is the largest level <u(q), .> over the
+    candidate points.
 
-    An atom on the ray (gap within the touch tolerance of ``q_plus_compute``)
-    gives rho = 0.  Countable atoms with p_j ~ j^-p and h_j ~ a j^-r give
-    rho = (p - 1)/r, with p and r read off at J and 2J (inf when the gaps
-    do not decay).  A polygon has rho = 2 when one vertex touches and 1 when
-    an edge lies on the ray.  A product box touches at its corner
-    (mu_min, sigma^2/2_max), and each uniform marginal adds 1 to rho (an
-    atom marginal adds 0).
+    The ray touches the support when a - top is within the touch tolerance
+    of ``q_plus_compute``, and a touching atom gives rho = 0.  Countable
+    atoms with p_j ~ j^-p and h_j ~ c j^-r give rho = (p - 1)/r, with p and
+    r read off at J and 2J (inf when the gaps do not decay).  A polygon has
+    rho = 2 when one vertex touches and 1 when an edge lies on the level
+    line.  A product box touches at its corner (mu_min, sigma^2/2_max), and
+    each uniform marginal adds 1 to rho (an atom marginal adds 0).  With no
+    touch, rho is inf.
     """
-    tol = _TOUCH_TOL * max(1.0, q_tau)
+    tol = _TOUCH_TOL * max(1.0, a)
+    touch = a - top <= tol
     if theta.kind == "finite":
         merged: dict = {}
         for (x, y), w in theta.atoms:
-            h = q_tau - float(_inner(q_plus, x, y))
+            h = a - float(_inner(q, x, y))
             merged[h] = merged.get(h, 0.0) + w
-        atoms = tuple(sorted(merged.items()))
-        rho = 0.0 if atoms[0][0] <= tol else math.inf
-        return HLaw("discrete", rho, atoms=atoms)
+        return HLaw("discrete", 0.0 if touch else math.inf,
+                    atoms=tuple(sorted(merged.items())))
     if theta.kind == "countable":
-        h_fn = partial(_h_series_values, theta, q_plus, q_tau)
-        if np.any(h_fn(np.arange(1.0, SERIES_HEAD)) <= tol):
+        h_fn = lambda j: a - _inner(q, *theta.point_fn(j))
+        if not touch:
+            rho = math.inf
+        elif np.any(h_fn(np.arange(1.0, SERIES_HEAD)) <= tol):
             rho = 0.0
         else:
             far = np.array([SERIES_HEAD, 2.0 * SERIES_HEAD])
@@ -226,29 +238,39 @@ def _build_h_law(theta: ThetaLaw, q_plus: float, q_tau: float) -> HLaw:
                    if decay > 0.0 else math.inf)
         return HLaw("series", rho, h_fn=h_fn, p_fn=theta.prob_fn)
     if theta.kind == "polytope_uniform":
+        # each vertex's distance d below the top vertex, from coordinate
+        # differences so that it keeps its digits when every gap is near a;
+        # a d within rounding of its two terms puts an edge level with the
+        # top vertex
         verts = np.asarray(theta.vertices)
-        gaps = q_tau - _inner(q_plus, verts[:, 0], verts[:, 1])
-        touch = gaps <= tol
-        if not touch.any():
-            raise DistributionError("no polygon vertex lies on the ray")
-        gaps = np.where(touch, 0.0, gaps)
-        return HLaw("polygon", 2.0 if np.sum(touch) == 1 else 1.0,
-                    density=_polygon_level_density(verts, gaps),
-                    kinks=tuple(sorted(set(gaps.tolist()))))
-    marginals = (_from_end(theta.dist_mu, top=False),
-                 _from_end(theta.dist_halfsig2, top=True))
-    return HLaw("product", float(sum(d.kind == "uniform" for d in marginals)),
-                marginals=marginals)
+        x, y = verts.T
+        i = int(np.argmax(_inner(q, x, y)))
+        d = _inner(q, x[i] - x, y[i] - y)
+        scale = q * np.abs(x[i] - x) + q * (q + 1.0) * np.abs(y[i] - y)
+        d = np.where(d <= 1e-14 * scale, 0.0, d)
+        n_top = len(d) - np.count_nonzero(d)
+        rho = math.inf if not touch else 2.0 if n_top == 1 else 1.0
+        return HLaw("polygon", rho, offset=0.0 if touch else a - top,
+                    density=_polygon_level_density(verts, d),
+                    kinks=tuple(sorted(set(d.tolist()))))
+    dx, dy = theta.dist_mu, theta.dist_halfsig2
+    marginals = (_from_end(dx, False, q, 0.0 if touch else a - top),
+                 _from_end(dy, True, q * (q + 1.0)))
+    rho = float(sum(d.kind == "uniform" for d in marginals))
+    return HLaw("product", rho if touch else math.inf, marginals=marginals)
 
 
-def _from_end(dist: Distribution, top: bool) -> Distribution:
-    """Law of the distance of X from the low end of its support, or from
-    the high end with ``top``, for the kinds a product box admits."""
+def _from_end(dist: Distribution, top: bool, scale: float,
+              offset: float = 0.0) -> Distribution:
+    """Law of offset + scale times the distance of X from the low end of its
+    support, or from the high end with ``top``, for the kinds a product box
+    admits."""
     lo, hi = dist.support()
     if dist.kind == "uniform":
-        return Distribution.uniform(0.0, hi - lo)
+        return Distribution.uniform(offset, offset + scale * (hi - lo))
     return Distribution.discrete(
-        (hi - v if top else v - lo, w) for v, w in zip(*_atoms(dist)))
+        (offset + scale * (hi - v if top else v - lo), w)
+        for v, w in zip(*_atoms(dist)))
 
 
 def _atoms(dist: Distribution) -> tuple:
@@ -256,87 +278,51 @@ def _atoms(dist: Distribution) -> tuple:
     return dist.params if dist.kind == "discrete" else (dist.params, (1.0,))
 
 
-def _h_series_values(theta: ThetaLaw, q_plus: float, q_tau: float,
-                     j: np.ndarray) -> np.ndarray:
-    mu, hs = theta.point_fn(j)
-    return q_tau - _inner(q_plus, mu, hs)
-
-
 # -- analytic phi_nu -------------------------------------------------------------
 
 def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
-    """E phi_tau(<u(q), Theta>); ``inf`` as soon as mass sits at or beyond
-    the MGF endpoint with a divergent endpoint value."""
+    """E phi_tau(<u(q), Theta>) as the gap expectation E g(H_q) that
+    ``classify_endpoint`` takes at q_plus; ``inf`` once the support reaches
+    past the MGF endpoint, or touches it with rho <= k."""
     if q == 0.0:
         return 1.0
     q_tau = tau_dist.mgf_endpoint().q_max
-    if theta.kind == "product":
-        return _phi_nu_product(theta, tau_dist, q, q_tau)
     pts = theta.candidate_points()
-    t_v = _inner(q, pts[:, 0], pts[:, 1])
-    if theta.kind == "finite":
-        terms = tau_dist.mgf(t_v)
-        if np.isinf(terms).any():
-            return math.inf
-        probs = np.array([w for _, w in theta.atoms])
-        return sum((probs * terms).tolist(), 0.0)
-    # countable atoms with their limit points, or polygon vertices: the
-    # functional peaks on them
-    t_max = float(np.max(t_v))
-    if t_max > q_tau + _TOUCH_TOL:
+    top = float(np.max(_inner(q, pts[:, 0], pts[:, 1])))
+    if top > q_tau + _TOUCH_TOL * max(1.0, q_tau):
         return math.inf
-    if t_max >= q_tau - _TOUCH_TOL:
-        # boundary: the support touches the endpoint ray
-        return _boundary_value(theta, tau_dist, q, q_tau)
-    if theta.kind == "countable":
-        return _phi_nu_countable(theta, tau_dist, q)
-    density = _polygon_level_density(pts, t_v)
-    val, _ = integrate.quad(lambda t: tau_dist.mgf(t) * density(t),
-                            float(t_v.min()), t_max, limit=400,
-                            points=sorted(set(t_v.tolist())))
-    return val
-
-
-def _phi_nu_countable(theta, tau_dist, q):
-    """The clean region, below the endpoint ray: bounded terms, smooth in j."""
-    return math.fsum(countable_sum(
-        lambda j: theta.prob_fn(j) * tau_dist.mgf(_inner(q, *theta.point_fn(j)))))
-
-
-def _phi_nu_product(theta, tau_dist, q, q_tau):
-    dx, dy = theta.dist_mu, theta.dist_halfsig2
-    y_hi = dy.support()[1]
-    corner = (float(_inner(q, dx.support()[0], y_hi)) if math.isfinite(y_hi)
-              else math.inf)
-    if corner > q_tau + _TOUCH_TOL:
+    pole = tau_dist.kind in ("exponential", "gamma")
+    a = q_tau if pole else top
+    h_law = _build_h_law(theta, q, a, top)
+    if pole and h_law.rho <= _endpoint_pole(tau_dist)[0] + _DECAY_TOL:
         return math.inf
-
-    def phi_given_y(y: float) -> float:
-        return _expect_1d(dx, lambda x: tau_dist.mgf(float(_inner(q, x, y))))
-
-    return _expect_1d(dy, phi_given_y)
+    g = _pole_fn(tau_dist) if pole else lambda h: tau_dist.mgf(a - h)
+    return math.fsum(_GAP_PARTS[h_law.kind](h_law, g, math.inf))
 
 
 def _expect_1d(dist: Distribution, f: Callable[[float], float],
                lo: float = -math.inf, hi: float = math.inf,
                spike: float = 0.0) -> float:
-    """E[f(X); lo < X <= hi].  Given a spike of f with width ``spike`` at
-    the lower limit a, a density is integrated in s = log(1 + (x - a)/spike),
-    where the spike is flat."""
+    """E[f(X); lo < X <= hi], a density by ``_quad`` with ``spike``."""
     if dist.kind in ("deterministic", "discrete"):
         return sum(w * f(v) for v, w in zip(*_atoms(dist)) if lo < v <= hi)
     a, b = dist.support()
     a, b = max(a, lo), min(b, hi)
     if a >= b:
         return 0.0
-    g = lambda x: f(x) * float(dist.pdf(x))
+    return _quad(lambda x: f(x) * float(dist.pdf(x)), a, b, spike)
+
+
+def _quad(f: Callable[[float], float], a: float, b: float,
+          spike: float = 0.0) -> float:
+    """The integral of f over [a, b].  Given a spike of f with width
+    ``spike`` at a, it runs in s = log(1 + (x - a)/spike), where the spike
+    is flat."""
     if spike > 0.0:
-        val, _ = integrate.quad(
-            lambda s: g(a + spike * math.expm1(s)) * spike * math.exp(s),
-            0.0, math.log1p((b - a) / spike), limit=300)
-        return val
-    val, _ = integrate.quad(g, a, b, limit=300)
-    return val
+        return integrate.quad(
+            lambda s: f(a + spike * math.expm1(s)) * spike * math.exp(s),
+            0.0, math.log1p((b - a) / spike), limit=300)[0]
+    return integrate.quad(f, a, b, limit=300)[0]
 
 
 # -- polygon level-set density ---------------------------------------------------
@@ -349,8 +335,7 @@ def _polygon_level_density(verts: np.ndarray,
     The fan of triangles (v_0, v_i, v_i+1) tiles the polygon, and on a
     triangle with sorted vertex levels a <= b <= c the functional has the
     tent density rising from 0 at a to 2/(c - a) at b and falling back to 0
-    at c.  Levels measured as gaps from a touching line keep small gaps
-    exact.
+    at c.
     """
     x, y = verts[:, 0] - verts[0, 0], verts[:, 1] - verts[0, 1]
     areas = np.abs(x[1:-1] * y[2:] - x[2:] * y[1:-1])
@@ -365,82 +350,86 @@ def _polygon_level_density(verts: np.ndarray,
     return lambda t: sum(w * tent(t, *abc) for abc, w in tents)
 
 
-# -- endpoint values and the dichotomy --------------------------------------------
+# -- the gap expectation E g(H), split at H = delta ---------------------------------
 
-def _series_parts(geometry: TangentGeometry, tau_dist, delta):
+def _series_parts(h_law: HLaw, g, delta):
     """``countable_sum`` of the terms; the tail atoms gap below h_J <= delta."""
-    h_law, q_tau = geometry.h_law, geometry.q_tau
+    terms = countable_sum(lambda j: h_law.p_fn(j) * g(h_law.h_fn(j)))
+    if delta == math.inf:
+        return math.fsum(terms), 0.0
     h = h_law.h_fn(np.arange(1.0, SERIES_HEAD + 1.0))
     if delta < h[-1]:
         raise ValueError(f"delta is below the series gap h_J = {h[-1]:.3g}")
-    terms = countable_sum(
-        lambda j: h_law.p_fn(j) * tau_dist.mgf(q_tau - h_law.h_fn(j)))
     near = np.append(h[:-1] <= delta, True)
     return math.fsum(terms[near]), math.fsum(terms[~near])
 
 
-def _discrete_parts(geometry: TangentGeometry, tau_dist, delta):
-    h, w = np.array(geometry.h_law.atoms).T
-    terms = w * tau_dist.mgf(geometry.q_tau - h)
+def _discrete_parts(h_law: HLaw, g, delta):
+    h, w = np.array(h_law.atoms).T
+    terms = w * g(h)
     near = h <= delta
     return sum(terms[near].tolist(), 0.0), sum(terms[~near].tolist(), 0.0)
 
 
-def _polygon_parts(geometry: TangentGeometry, tau_dist, delta):
-    """Quadrature of phi_tau(q_tau - h) f_H(h) over (0, delta] and over
-    (delta, h_max], breaking at the vertex gaps."""
-    h_law = geometry.h_law
-    k, scale = _endpoint_pole(tau_dist)
-    f = lambda h: (scale * h) ** -k * h_law.density(h)
+def _polygon_parts(h_law: HLaw, g, delta):
+    """Quadrature of g(h0 + d) f(d) over h0 + d <= delta and over the rest,
+    with H = h0 + D, h0 the offset and f the density of D, one span between
+    vertex values of D at a time.  g may spike at h = 0, so a span from
+    d = a with h0 + a > 0 runs in log h; a smallest gap far below the others
+    then costs no accuracy."""
+    h0 = h_law.offset
+    f = lambda d: g(h0 + d) * h_law.density(d)
 
-    def part(a: float, b: float) -> float:
-        if a >= b:
-            return 0.0
-        inside = [h for h in h_law.kinks if a < h < b]
-        return integrate.quad(f, a, b, limit=400, points=inside or None)[0]
+    def part(lo: float, hi: float) -> float:
+        cuts = [max(lo, 0.0)]
+        cuts += [d for d in h_law.kinks if cuts[0] < d < hi] + [hi]
+        return math.fsum(_quad(f, a, b, spike=h0 + a)
+                         for a, b in zip(cuts, cuts[1:]) if a < b)
 
-    h_max = h_law.kinks[-1]
-    return part(0.0, min(delta, h_max)), part(delta, h_max)
+    d_max = h_law.kinks[-1]
+    return part(0.0, min(delta - h0, d_max)), part(delta - h0, d_max)
 
 
-def _product_parts(geometry: TangentGeometry, tau_dist, delta):
-    """Nested quadrature of the marginals.  With V = mu - mu_min and
-    W = sigma^2/2_max - sigma^2/2 the distances from the touching corner,
-    H = q V + q (q + 1) W, so each level of W splits the inner expectation
-    over V at one cut."""
-    q = geometry.q_plus
-    dv, dw = geometry.h_law.marginals
-    k, scale = _endpoint_pole(tau_dist)
+def _product_parts(h_law: HLaw, g, delta):
+    """Nested quadrature of the marginals.  H = A + B with A = h0 + q V and
+    B = q (q + 1) W independent (see ``HLaw``), so each level b of B splits
+    the inner expectation over A at one cut.  g(b + A) spikes at distance
+    b + h0 from the low end of A, and the inner expectation, as a function
+    of b, at distance h0 from b = 0; both integrals run in the log of that
+    distance."""
+    da, db = h_law.marginals
+    h0 = da.support()[0]
 
-    def given_w(near: bool, w: float) -> float:
-        h_w = q * (q + 1.0) * w
-        f = lambda v: (scale * (h_w + q * v)) ** -k
-        cut = (delta - h_w) / q
+    def given_b(near: bool, b: float) -> float:
+        f = lambda x: g(b + x)
         if near:
-            return _expect_1d(dv, f, hi=cut, spike=h_w / q)
-        return _expect_1d(dv, f, lo=cut)
+            return _expect_1d(da, f, hi=delta - b, spike=b + h0)
+        return _expect_1d(da, f, lo=delta - b)
 
-    return (_expect_1d(dw, partial(given_w, True)),
-            _expect_1d(dw, partial(given_w, False)))
+    return (_expect_1d(db, partial(given_b, True), spike=h0),
+            _expect_1d(db, partial(given_b, False), spike=h0))
 
 
-_ENDPOINT_PARTS = {"discrete": _discrete_parts, "series": _series_parts,
-                   "polygon": _polygon_parts, "product": _product_parts}
+_GAP_PARTS = {"discrete": _discrete_parts, "series": _series_parts,
+              "polygon": _polygon_parts, "product": _product_parts}
 
 
 def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
                       delta: float) -> EndpointVerdict:
-    """Integrate phi_tau(q_tau - H) over the gap law in one pass.
+    """The gap expectation E g(H) of ``phi_nu_analytic`` at q_plus, in one
+    pass.
 
-    The verdict says whether the integral diverges at H = 0, which is
-    whether the step-multiplier transform blows up at its own endpoint and
-    in turn guarantees that the decay exponent exists.  With P(H <= h) ~
-    c h^rho and phi_tau(q_tau - h) ~ c' h^-k, it diverges iff rho <= k (up
-    to ``_DECAY_TOL``), whatever the support shape.  A finite verdict
-    carries the integral over (0, delta] (``integral_value``) and over
-    H > delta (``head_value``); their sum is phi_nu(q_plus).  Finite gap
-    laws are summed exactly, a countable series by ``countable_sum``, a
-    polygon's level density and a product law's marginals by quadrature.
+    The verdict says whether it diverges at H = 0, which is whether the
+    step-multiplier transform blows up at its own endpoint and in turn
+    guarantees that the decay exponent exists.  With P(H <= h) ~ c h^rho
+    and g(h) = (s h)^-k, it diverges iff rho <= k (up to ``_DECAY_TOL``),
+    whatever the support shape.  A finite verdict carries the expectation
+    over (0, delta] (``integral_value``) and over H > delta
+    (``head_value``); their sum is phi_nu(q_plus).  Both come from the
+    per-kind function that ``phi_nu_analytic`` calls below q_plus: exact
+    sums for finite gap laws, ``countable_sum`` for a series, quadrature in
+    log h of a polygon's level density, nested quadrature of a product
+    law's marginals.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -453,7 +442,7 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     h_law = geometry.h_law
     if h_law.rho <= _endpoint_pole(tau_dist)[0] + _DECAY_TOL:
         return EndpointVerdict("endpoint_infinite", math.inf)
-    near, head = _ENDPOINT_PARTS[h_law.kind](geometry, tau_dist, delta)
+    near, head = _GAP_PARTS[h_law.kind](h_law, _pole_fn(tau_dist), delta)
     return EndpointVerdict("endpoint_finite", near, head)
 
 
@@ -468,19 +457,17 @@ def _endpoint_pole(tau_dist) -> Tuple[float, float]:
     return tau_dist.params
 
 
+def _pole_fn(tau_dist) -> Callable:
+    """h -> phi_tau(q_tau - h) = (s h)^-k, for scalars and arrays."""
+    k, scale = _endpoint_pole(tau_dist)
+    return lambda h: (scale * h) ** -k
+
+
 def endpoint_phi_value(verdict: EndpointVerdict) -> float:
     """phi_nu at its endpoint q_plus (may be inf), read off the verdict."""
     if verdict.verdict == "endpoint_infinite":
         return math.inf
     return verdict.head_value + verdict.integral_value
-
-
-def _boundary_value(theta, tau_dist, q, q_tau):
-    """phi_nu at a q whose ray touches the support: the endpoint integral."""
-    geometry = TangentGeometry(q_plus=q, q_tau=q_tau, touching_points=(),
-                               h_law=_build_h_law(theta, q, q_tau))
-    return endpoint_phi_value(
-        classify_endpoint(geometry, tau_dist, delta=q_tau / 2.0))
 
 
 # -- Monte Carlo phi_nu ------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import perpetuity as perp
 from .distributions import Distribution
-from .lundberg import (lundberg_report, phi_nu_analytic, phi_nu_mc,
-                       q_plus_compute, classify_endpoint, u_vector)
+from .lundberg import (lundberg_report, phi_nu_analytic, q_plus_compute,
+                       classify_endpoint, u_vector)
 from .model import ModelConfig, PremiumSpec, RegimeSpec
 from .ruin import (bounds_check, classical_psi, estimate_psi_grid, fit_tail,
                    rw_max_diagnostic)
@@ -276,16 +276,21 @@ def criterion_exact_invariances(workers: Optional[int] = None,
     mono_ok = all(base[i].psi_hat >= base[i + 1].psi_hat
                   for i in range(len(base) - 1))
 
-    theta = cfg.regime.theta
-    tau = cfg.interarrival_dist
-    phi0 = phi_nu_analytic(theta, tau, 0.0)
-    phi0_mc = phi_nu_mc(cfg, 0.0, 10_000, 3).estimate
-    phi_ok = phi0 == 1.0 and phi0_mc == 1.0
+    # phi_nu(0) = 1 by construction; the slope at 0 is -E K =
+    # E tau E(sigma^2/2 - mu), up to a second-order term below eps here
+    square = ThetaLaw.polytope_uniform([(0, 0), (1, 0), (0, 1), (1, 1)])
+    zeta4, exp1 = zeta_regime_law(4), Distribution.exponential(1.0)
+    eps = 1e-6
+    slope_ok = True
+    for law, tau in ((cfg.regime.theta, cfg.interarrival_dist),
+                     (square, exp1), (zeta4, exp1)):
+        e_mu, e_hs = law.mean()
+        slope = (phi_nu_analytic(law, tau, eps) - 1.0) / eps
+        slope_ok = (slope_ok and
+                    abs(slope - tau.mean() * (e_hs - e_mu)) <= 5.0 * eps)
 
     h_ok = True
-    for law in (ThetaLaw.point_mass(0.0, 1.0),
-                ThetaLaw.polytope_uniform([(0, 0), (1, 0), (0, 1), (1, 1)]),
-                zeta_regime_law(4)):
+    for law in (ThetaLaw.point_mass(0.0, 1.0), square, zeta4):
         geom = q_plus_compute(law, 1.0)
         if geom.h_law.kind == "series":
             j = np.arange(1.0, 1_000_001.0)
@@ -297,10 +302,10 @@ def criterion_exact_invariances(workers: Optional[int] = None,
             pts = law.candidate_points()
             h = geom.q_tau - (ux * pts[:, 0] + uy * pts[:, 1])
             h_ok = h_ok and float(np.min(h)) >= -1e-9 * max(1.0, geom.q_tau)
-    ok = scale_ok and mono_ok and phi_ok and h_ok
+    ok = scale_ok and mono_ok and slope_ok and h_ok
     return CriterionResult(
         "exact_invariances", ok, 0.0,
-        {"scale": scale_ok, "monotone": mono_ok, "phi0": phi_ok,
+        {"scale": scale_ok, "monotone": mono_ok, "phi_slope": slope_ok,
          "h_nonneg": h_ok})
 
 

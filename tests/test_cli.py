@@ -174,7 +174,8 @@ def test_ruin_outputs_deterministic(tmp_path, capsys):
     b = (tmp_path / "b.csv").read_bytes()
     assert a == b
     header = a.decode().splitlines()[0]
-    assert header == "u,psi_hat,ci_halfwidth,censored_fraction"
+    assert header == ("u,psi_hat,ci_halfwidth,censored_fraction,"
+                      "non_finite_fraction")
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
@@ -230,6 +231,7 @@ def test_perpetuity_command(tmp_path, capsys):
     assert doc["c_hat"] > 0
     assert doc["ks"] <= 0.05
     assert -2.6 <= doc["tail_slope"] <= -1.0
+    assert doc["non_finite"] == 0
 
 
 def test_validate_rejects_seed(capsys):

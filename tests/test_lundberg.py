@@ -35,21 +35,35 @@ UNIF_BOX = ThetaLaw.product(Distribution.uniform(0.2, 0.25),
                             Distribution.uniform(0.01, 0.02))
 POINT_UNIF_BOX = ThetaLaw.product(Distribution.deterministic(0.2),
                                   Distribution.uniform(0.01, 0.02))
+# the mass-exponent table: each law's gap exponent rho at q_plus, and the
+# pole orders k of the Gamma(k, 1) inter-arrival laws it is paired with
+MASS_LAWS = [(ROTATED_SQUARE, 1.0), (SQUARE, 2.0), (TRIANGLE, 2.0),
+             (UNIF_BOX, 2.0), (POINT_UNIF_BOX, 1.0)]
+MASS_IDS = ["rotated_edge", "square_vertex", "triangle_vertex",
+            "uniform_x_uniform", "deterministic_x_uniform"]
+MASS_K = [0.5, 1.0, 1.5, 2.0, 2.5]
 
 
-def _gap_mean(a: float, b: float, k: float, scale: float) -> float:
+def _gamma_tau(k: float) -> Distribution:
+    """Gamma(k, 1), written Exp(1) when k = 1."""
+    return EXP1 if k == 1.0 else Distribution.gamma(k, 1.0)
+
+
+def _gap_mean(a: float, b: float, k: float, scale: float,
+              h0: float = 0.0) -> float:
     """E (scale H)^-k, the value phi_tau(q_tau - H) takes on average for a
     Gamma(k, scale) tau (Exp(1/scale) when k = 1), in closed form for
-    H = A + B with A ~ U[0, a] and B ~ U[0, b] independent (A = 0 when
-    a = 0): E g(A + B) = (G(a + b) - G(a) - G(b) + G(0)) / (a b) with
-    G'' = g."""
+    H = h0 + A + B with A ~ U[0, a] and B ~ U[0, b] independent (A = 0 and
+    h0 = 0 when a = 0): E g(h0 + A + B) = (G(h0 + a + b) - G(h0 + a)
+    - G(h0 + b) + G(h0)) / (a b) with G'' = g."""
     if a == 0.0:
         return (scale * b) ** -k / (1.0 - k)
     if k == 1.0:
-        g2 = lambda h: h * math.log(h)
+        g2 = lambda h: h * math.log(h) if h > 0.0 else 0.0
     else:
         g2 = lambda h: h ** (2.0 - k) / ((1.0 - k) * (2.0 - k))
-    return scale ** -k * (g2(a + b) - g2(a) - g2(b)) / (a * b)
+    return scale ** -k * (g2(h0 + a + b) - g2(h0 + a) - g2(h0 + b)
+                          + g2(h0)) / (a * b)
 
 
 def _touch_value(x: float, y: float, q_tau: float) -> float:
@@ -125,6 +139,20 @@ class TestPhiNuAnalytic:
         tau_arg = -q * mu + q * (q + 1) * hs
         mc = np.mean(1.0 / (1.0 - tau_arg))
         assert val == pytest.approx(float(mc), rel=2e-3)
+
+    @pytest.mark.parametrize("law", [
+        SQUARE, ThetaLaw.product(Distribution.uniform(0.0, 1.0),
+                                 Distribution.uniform(0.0, 1.0))],
+        ids=["polygon", "product"])
+    def test_unit_square_with_deterministic_interarrivals(self, law):
+        # q_tau = inf: the gap runs from the top level, and with tau = 1 the
+        # transform factors into the uniform MGFs of -q mu and q(q+1) s^2/2
+        tau = Distribution.deterministic(1.0)
+        for q in (0.3, 1.0, 2.5):
+            a = q * (q + 1.0)
+            want = math.expm1(-q) / -q * math.expm1(a) / a
+            assert phi_nu_analytic(law, tau, q) == pytest.approx(
+                want, rel=1e-10, abs=0.0)
 
     def test_zeta_p4_matches_mc_on_grid(self):
         # agreement between the exact series and Monte Carlo at 10 arguments
@@ -318,16 +346,12 @@ class TestTheorem2:
         assert below == pytest.approx(want, rel=1e-5)
         assert endpoint_phi_value(verdict) == pytest.approx(below, rel=1e-4)
 
-    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5])
-    @pytest.mark.parametrize("law, rho", [
-        (ROTATED_SQUARE, 1.0), (SQUARE, 2.0), (TRIANGLE, 2.0),
-        (UNIF_BOX, 2.0), (POINT_UNIF_BOX, 1.0)],
-        ids=["rotated_edge", "square_vertex", "triangle_vertex",
-             "uniform_x_uniform", "deterministic_x_uniform"])
+    @pytest.mark.parametrize("k", MASS_K)
+    @pytest.mark.parametrize("law, rho", MASS_LAWS, ids=MASS_IDS)
     def test_mass_exponent_rule(self, law, rho, k):
         # P(H <= h) ~ h^rho and phi_tau(q_tau - h) ~ h^-k for Gamma(k) tau,
         # so the gap integral diverges iff rho <= k
-        tau = EXP1 if k == 1.0 else Distribution.gamma(k, 1.0)
+        tau = _gamma_tau(k)
         geom = q_plus_compute(law, 1.0)
         assert geom.h_law.rho == rho
         verdict = classify_endpoint(geom, tau, delta=0.5)
@@ -337,8 +361,45 @@ class TestTheorem2:
             assert endpoint_phi_value(verdict) == math.inf
             return
         assert verdict.verdict == "endpoint_finite"
-        below = phi_nu_analytic(law, tau, geom.q_plus * (1.0 - 1e-8))
-        assert endpoint_phi_value(verdict) == pytest.approx(below, rel=1e-5)
+
+    @pytest.mark.parametrize("law, rho, k", [
+        (law, rho, k) for law, rho in MASS_LAWS for k in MASS_K if rho > k]
+        + [(ROTATED_SQUARE, 1.0, 0.9)],
+        ids=[f"{name}-{k}" for (_, rho), name in zip(MASS_LAWS, MASS_IDS)
+             for k in MASS_K if rho > k] + ["rotated_edge-0.9"])
+    def test_phi_nu_rises_to_endpoint_value(self, law, rho, k):
+        # below q_plus every gap is off zero and phi_nu is the endpoint's gap
+        # expectation at a nearby ray: it increases to phi_nu(q_plus), and
+        # the deficit falls like eps^(rho - k) where rho - k < 1, to below
+        # 1e-5 of the limit at eps = 1e-12 once rho - k >= 0.5
+        tau = _gamma_tau(k)
+        geom = q_plus_compute(law, 1.0)
+        end = endpoint_phi_value(classify_endpoint(geom, tau, delta=0.5))
+        eps = 10.0 ** -np.arange(2.0, 13.0, 2.0)
+        vals = np.array([phi_nu_analytic(law, tau, geom.q_plus * (1.0 - e))
+                         for e in eps])
+        assert np.all(np.diff(vals) > 0.0)
+        assert np.all(vals <= end * (1.0 + 1e-10))
+        if rho - k >= 0.5:
+            assert end - vals[-1] <= 1e-5 * end
+        if rho - k < 1.0:
+            slope = np.polyfit(np.log(eps[3:]), np.log(end - vals[3:]), 1)[0]
+            assert abs(slope - (rho - k)) <= 0.01
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("law, widths, corner", [
+        (SQUARE, lambda q: (q, q * (q + 1.0)), (0.0, 1.0)),
+        (UNIF_BOX, lambda q: (0.05 * q, 0.01 * q * (q + 1.0)), (0.2, 0.02))],
+        ids=["square", "uniform_x_uniform"])
+    def test_phi_nu_below_q_plus_against_closed_form(self, law, widths,
+                                                     corner, k):
+        # at q_plus (1 - 1e-8) the corner's gap h0 is about 1e-8, and H is
+        # h0 plus two independent uniforms
+        q = q_plus_compute(law, 1.0).q_plus * (1.0 - 1e-8)
+        h0 = 1.0 - float(np.dot(u_vector(q), corner))
+        want = _gap_mean(*widths(q), k, 1.0, h0)
+        assert phi_nu_analytic(law, _gamma_tau(k), q) == pytest.approx(
+            want, rel=1e-9)
 
     @pytest.mark.parametrize("law, rho, widths, k, rate", [
         (ROTATED_SQUARE, 1.0, lambda q: (0.0, math.hypot(q, q * (q + 1.0))),
@@ -380,6 +441,17 @@ class TestTheorem2:
             assert geom.h_law.rho == rho
             value = endpoint_phi_value(classify_endpoint(geom, EXP1, delta=0.5))
             assert value == (math.inf if rho == 0.0 else pytest.approx(2.0))
+
+    def test_series_head_atom_touches_above_limit_point(self):
+        # the first atom touches while the atoms fall away to a limit point
+        # below the ray, so the gaps grow with j: rho = 0 all the same
+        law = ThetaLaw.countable(
+            lambda j: (np.zeros_like(j), 0.5 + 0.5 / j),
+            lambda j: j ** -2.0 / zeta(2.0), None, limit_points=[(0.0, 0.5)])
+        geom = q_plus_compute(law, 1.0)
+        assert geom.q_plus == pytest.approx(GOLDEN, abs=1e-12)
+        assert geom.h_law.rho == 0.0
+        assert phi_nu_analytic(law, EXP1, geom.q_plus) == math.inf
 
     def test_requires_divergent_endpoint(self):
         geom = q_plus_compute(ThetaLaw.point_mass(0.0, 1.0), 1.0)
@@ -474,6 +546,21 @@ class TestSolveBeta:
         assert rep.beta == pytest.approx(12.513458, abs=1e-5)
         below = phi_nu_analytic(law, EXP1, rep.q_nu * (1.0 - 1e-8))
         assert rep.phi_at_endpoint == pytest.approx(below, rel=1e-5)
+
+    def test_polygon_box_matches_product_box(self):
+        # the box above as a polygon is the same law of Theta, so the same
+        # beta; at the default tol the root search starts from phi_nu at
+        # q = 1e-10, where every gap is near q_tau and the slope is -E K
+        box = ThetaLaw.polytope_uniform(
+            [(0.2, 0.01), (0.25, 0.01), (0.25, 0.02), (0.2, 0.02)])
+        cfg = ModelConfig(
+            claim_dist=EXP1, interarrival_dist=EXP1,
+            premium=PremiumSpec.zero(), regime=RegimeSpec.constant(box),
+            mu_lower=0.2, sigma_upper=0.2, c_bar=0.0)
+        rep = lundberg_report(cfg)
+        assert rep.beta == pytest.approx(12.513458, abs=1e-5)
+        slope = (phi_nu_analytic(box, EXP1, 1e-10) - 1.0) / 1e-10
+        assert slope == pytest.approx(-(0.225 - 0.015), rel=1e-4)
 
     def test_monte_carlo_mode(self):
         cfg = constant_cfg(0.06, 0.02)
