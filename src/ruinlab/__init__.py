@@ -5,9 +5,9 @@ from .errors import (ConfigError, DistributionError, EstimationError,
                      HypothesisViolation, NumericsWarning, RuinlabError)
 from .model import ModelConfig, PremiumSpec, RegimeSpec, RngStreams
 from .theta import ThetaLaw, zeta_regime_law
-from .lundberg import (HLaw, LundbergReport, PhiNuEstimate, TangentGeometry,
-                       EndpointVerdict, lundberg_report, phi_nu_analytic,
-                       phi_nu_mc, q_plus_compute, sample_nu, solve_beta,
+from .lundberg import (HLaw, LundbergReport, TangentGeometry, EndpointVerdict,
+                       lundberg_report, phi_nu_analytic, phi_nu_piecewise,
+                       q_plus_compute, sample_nu, solve_beta,
                        classify_endpoint, u_vector)
 from .perpetuity import (GoldieEstimate, PerpetuityBatch, goldie_constant,
                          ks_fixed_point, model_pair_sampler, qbar_pair_sampler,

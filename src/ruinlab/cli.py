@@ -7,8 +7,9 @@ and chunk size), and prints a one-line summary to stderr.  Hypothesis
 violations exit nonzero with a machine-readable error JSON on stdout.
 
 The environment variable ``RUINLAB_SEED`` overrides the config seed; the
-``--seed`` flag overrides both.  ``validate`` takes no seed: each acceptance
-criterion runs at its own fixed seed.
+``--seed`` flag overrides both.  ``lundberg`` is deterministic and
+``validate`` runs each acceptance criterion at its own fixed seed, so
+neither takes a seed.
 """
 
 from __future__ import annotations
@@ -98,10 +99,7 @@ def cmd_lundberg(args) -> int:
     exp = load_experiment(args.config)
     block = exp.block("lundberg")
     tol = args.tol if args.tol is not None else block.get("tol", 1e-10)
-    report = lundberg_report(exp.model, tol=tol,
-                             method=block.get("method", "auto"),
-                             mc_samples=block.get("mc_samples", 1_000_000),
-                             seed=_resolve_seed(args, exp))
+    report = lundberg_report(exp.model, tol=tol)
     doc = report.to_dict()
     if report.geometry is not None:
         doc["q_plus"] = report.geometry.q_plus
@@ -189,7 +187,7 @@ def cmd_perpetuity(args) -> int:
             "--samples" if args.samples else "$.perpetuity.samples")
     seed = _resolve_seed(args, exp)
     cfg = exp.model
-    report = lundberg_report(cfg, seed=seed)
+    report = lundberg_report(cfg)
     if report.beta is None:
         raise HypothesisViolation(
             "mean_drift_positive",
@@ -265,16 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometric-Brownian investment returns")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="experiment JSON")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int,
-                       default=max(1, os.cpu_count() or 1))
+    def common(p, seeded=True):
+        p.add_argument("--config", required=True, help="experiment JSON")
         p.add_argument("--out", default=None, help="output path base")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--workers", type=int,
+                           default=max(1, os.cpu_count() or 1))
 
     p = sub.add_parser("lundberg", help="decay-exponent report")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_lundberg)
 

@@ -200,7 +200,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         raise ConfigError(str(exc), "$.model") from exc
     blocks = {}
     _BLOCK_FIELDS = {
-        "lundberg": {"tol": "number", "method": "str", "mc_samples": "int"},
+        "lundberg": {"tol": "number"},
         "ruin": {"u_grid": "list", "n_paths": "int", "max_steps": "int",
                  "barrier_multiple": "number"},
         "perpetuity": {"samples": "int", "rel_tol": "number", "n_max": "int"},

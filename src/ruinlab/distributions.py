@@ -220,7 +220,8 @@ class Distribution:
     def mgf(self, q: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """E exp(qV), exactly; ``math.inf`` beyond the finite domain.
 
-        Elementwise over an array ``q``; a float argument gives a float.
+        Elementwise over an array ``q`` of finite values; a float argument
+        gives a float.
         """
         k, p = self.kind, self.params
         qa = np.asarray(q, dtype=float)

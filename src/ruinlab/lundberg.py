@@ -27,6 +27,17 @@ for finite Theta, ``theta.countable_sum`` (an exact head and an
 Euler-Maclaurin tail) for the zeta series, quadrature in log h of a
 polygon's level density, and nested quadrature of a product law's
 marginals.
+
+Piecewise regimes redraw (mu, sigma) and the Wiener increment independently
+on every cell of width h.  With tau = (n - 1) h + r, r in (0, h], and M_q(w)
+the transform over one cell of width w,
+
+    E[e^{q nu} | tau] = M_q(h)^(n-1) M_q(r).
+
+log M_q(w) is convex in w and zero at 0, so with theta_q = log M_q(h)/h,
+c_q e^{theta_q t} <= E[e^{q nu} | tau = t] <= e^{theta_q t} for some
+c_q > 0: phi_nu(q) is finite iff phi_tau(theta_q) is, and the endpoint q_nu
+solves theta_q = q_tau (inf for bounded tau).
 """
 
 from __future__ import annotations
@@ -37,19 +48,18 @@ from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .distributions import Distribution
 from .engine import StepKernel
 from .errors import DistributionError, HypothesisViolation
-from .model import ModelConfig, RngStreams, as_streams
+from .model import ModelConfig, RegimeSpec, RngStreams, as_streams
 from .theta import SERIES_HEAD, ThetaLaw, countable_sum
 
 __all__ = [
-    "u_vector", "phi_nu_analytic", "phi_nu_mc", "solve_beta",
+    "u_vector", "phi_nu_analytic", "phi_nu_piecewise", "solve_beta",
     "lundberg_report", "q_plus_compute", "classify_endpoint",
-    "LundbergReport", "TangentGeometry", "HLaw", "PhiNuEstimate",
-    "EndpointVerdict",
+    "LundbergReport", "TangentGeometry", "HLaw", "EndpointVerdict",
 ]
 
 _TOUCH_TOL = 1e-12
@@ -105,13 +115,6 @@ class TangentGeometry:
 
 
 @dataclass(frozen=True)
-class PhiNuEstimate:
-    estimate: float
-    stderr: float
-    stability_flag: bool
-
-
-@dataclass(frozen=True)
 class EndpointVerdict:
     verdict: str                 # "endpoint_infinite" | "endpoint_finite"
     integral_value: float        # the (0, delta] integral; inf when divergent
@@ -124,11 +127,9 @@ class LundbergReport:
     beta: Optional[float]
     q_nu: float
     phi_at_endpoint: Optional[float]   # inf allowed; None when unknown
-    method: str                        # "analytic" | "monte_carlo"
-    ci_halfwidth: Optional[float]
     hypothesis_flags: dict
     status: str                        # "root" | "no_root"
-    # tangent geometry and endpoint verdict of the analytic route, kept out
+    # tangent geometry and endpoint verdict of a constant regime, kept out
     # of to_dict
     geometry: Optional[TangentGeometry] = field(default=None, compare=False)
     endpoint: Optional[EndpointVerdict] = field(default=None, compare=False)
@@ -138,8 +139,6 @@ class LundbergReport:
             "beta": self.beta,
             "q_nu": _json_float(self.q_nu),
             "phi_at_endpoint": _json_float(self.phi_at_endpoint),
-            "method": self.method,
-            "ci_halfwidth": self.ci_halfwidth,
             "hypothesis_flags": self.hypothesis_flags,
             "status": self.status,
         }
@@ -470,7 +469,81 @@ def endpoint_phi_value(verdict: EndpointVerdict) -> float:
     return verdict.head_value + verdict.integral_value
 
 
-# -- Monte Carlo phi_nu ------------------------------------------------------------
+# -- piecewise regimes ---------------------------------------------------------------
+
+def _cell_mgf(regime: RegimeSpec, q: float, w: float) -> float:
+    """M_q(w) = E e^{q nu} over one cell of width w, where nu = -(mu -
+    sigma^2/2) w - sigma W_w: mu_law.mgf(-q w) E e^{q (q + 1) sigma^2 w/2}."""
+    if not math.isfinite(regime.sigma_law.support()[1]):
+        raise DistributionError("piecewise phi_nu needs a bounded sigma law")
+    c = 0.5 * q * (q + 1.0) * w
+    return (float(regime.mu_law.mgf(-q * w))
+            * _expect_1d(regime.sigma_law, lambda s: math.exp(c * s * s)))
+
+
+def _cell_root(regime: RegimeSpec, q_tau: float) -> float:
+    """q_nu of a piecewise regime with finite q_tau, the root of log M_q(h) =
+    h q_tau: log M_q(h) is a cumulant transform, convex in q with a negative
+    slope at 0 under positive drift, so the root is unique."""
+    f = lambda q: math.log(_cell_mgf(regime, q, regime.h)) - regime.h * q_tau
+    q = 1.0
+    while f(q) <= 0.0:
+        q *= 2.0
+    while f(q / 2.0) > 0.0:
+        q /= 2.0
+    return optimize.brentq(f, q / 2.0, q, xtol=1e-300, rtol=1e-15)
+
+
+def phi_nu_piecewise(regime: RegimeSpec, tau_dist: Distribution,
+                     q: float) -> float:
+    """phi_nu(q) = E M_q(h)^(n-1) M_q(r) over the cells of ``StepKernel``
+    (see the module docstring); ``inf`` once theta_q passes q_tau.
+
+    Atoms of tau sum exactly; a density integrates M_q(r) against the cell
+    sum of M_q(h)^(n-1) f_tau((n - 1) h + r) over r in (0, h].  Exponential
+    and gamma tau are tilted by e^{theta_q t} first, which turns the cell
+    weights into a gamma law times phi_tau(theta_q) and keeps the sum finite
+    up to q_nu; a gamma shape k < 1 integrates in r^k, where it is flat.
+    """
+    if q == 0.0:
+        return 1.0
+    h, m = regime.h, partial(_cell_mgf, regime, q)
+    m_h = m(h)
+    theta = math.log(m_h) / h
+    q_tau = tau_dist.mgf_endpoint().q_max
+    pole = tau_dist.kind in ("exponential", "gamma")
+    slack = _TOUCH_TOL * max(1.0, q_tau)
+    if theta > (q_tau - slack if pole else q_tau + slack):
+        return math.inf
+    cells = lambda t: max(1, math.ceil(t / h - 1e-12))
+    if tau_dist.kind in ("deterministic", "discrete"):
+        return math.fsum(w * m_h ** (cells(t) - 1) * m(t - (cells(t) - 1) * h)
+                         for t, w in zip(*_atoms(tau_dist)))
+    law, tilt, k = tau_dist, 0.0, 1.0
+    if pole:
+        k, scale = _endpoint_pole(tau_dist)
+        law, tilt = Distribution.gamma(k, 1.0 / (1.0 / scale - theta)), theta
+    step = (theta - tilt) * h               # log weight of one more cell
+    ends = [t for t in law.support() if math.isfinite(t)]
+    cuts = sorted({0.0, h, *(t - (cells(t) - 1) * h for t in ends)})
+
+    def cell_sum(r: float) -> float:
+        terms = lambda n: np.exp(step * (n - 1.0)) * law.pdf((n - 1.0) * h + r)
+        if len(ends) == 2:
+            return math.fsum(terms(np.arange(1.0, cells(ends[1]) + 1.0)))
+        return math.fsum(countable_sum(terms))
+
+    p = 1.0 / min(k, 1.0)                   # r = v^p
+
+    def f(v: float) -> float:
+        r = v ** p
+        return p * v ** (p - 1.0) * m(r) * math.exp(-tilt * r) * cell_sum(r)
+
+    return float(tau_dist.mgf(tilt)) * math.fsum(
+        integrate.quad(f, a ** (1.0 / p), b ** (1.0 / p), epsabs=0.0,
+                       epsrel=1e-13, limit=300)[0]
+        for a, b in zip(cuts, cuts[1:]))
+
 
 def sample_nu(config: ModelConfig, n: int, rng: Union[int, RngStreams]
               ) -> np.ndarray:
@@ -480,100 +553,50 @@ def sample_nu(config: ModelConfig, n: int, rng: Union[int, RngStreams]
     return StepKernel(config).sample(as_streams(rng), n, need_claim=False).nu
 
 
-def phi_nu_mc(config: ModelConfig, q: float, n: int,
-              rng: Union[int, RngStreams], nu: Optional[np.ndarray] = None
-              ) -> PhiNuEstimate:
-    """Empirical E exp(q nu) with standard error and a heavy-tail flag.
-
-    The flag trips when the ten largest weights carry more than half of the
-    sum, the signature of sampling too close to the transform endpoint.
-    """
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    if nu is None:
-        nu = sample_nu(config, n, rng)
-    if q == 0.0:
-        return PhiNuEstimate(1.0, 0.0, False)
-    w = np.exp(q * nu)
-    est = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / math.sqrt(len(w)))
-    top = np.partition(w, -10)[-10:].sum() if len(w) > 10 else w.sum()
-    return PhiNuEstimate(est, se, bool(top > 0.5 * w.sum()))
-
-
 # -- root finding -------------------------------------------------------------------
 
-def _curve_value(v) -> float:
-    return v.estimate if isinstance(v, PhiNuEstimate) else float(v)
-
-
-def _is_unstable(v) -> bool:
-    return isinstance(v, PhiNuEstimate) and v.stability_flag
-
-
-def solve_beta(phi: Callable[[float], Union[float, PhiNuEstimate]],
-               q_upper_hint: float = math.inf, tol: float = 1e-10,
-               hypothesis_flags: Optional[dict] = None,
-               q_nu: Optional[float] = None,
-               phi_at_endpoint: Optional[float] = None,
-               method: str = "analytic",
-               mc_band: Optional[Callable[[float], Tuple[float, float]]] = None
+def solve_beta(phi: Callable[[float], float], q_upper_hint: float = math.inf,
+               tol: float = 1e-10, phi_at_endpoint: Optional[float] = None
                ) -> LundbergReport:
-    """Find the positive root of phi(q) = 1 by doubling and bisection.
+    """Find the positive root of phi(q) = 1 by doubling and bisection below
+    the transform endpoint ``q_upper_hint``, which the report keeps as q_nu.
 
     ``phi`` must satisfy phi(0) = 1 with a negative initial slope (checked
     numerically; a nonnegative slope raises the mean-drift violation).  The
-    bracket never crosses the transform endpoint: values of ``inf`` and
-    flagged Monte Carlo estimates act as soft upper boundaries.  In Monte
-    Carlo mode ``mc_band(q)`` supplies (estimate - 2 se, estimate + 2 se)
-    curves and the root interval of those curves becomes the confidence
-    half-width.
+    bracket never crosses the endpoint: values of ``inf`` act as soft upper
+    boundaries.
     """
-    flags = dict(hypothesis_flags or {})
-    hint = q_upper_hint if math.isfinite(q_upper_hint) else math.inf
-    v0 = _curve_value(phi(0.0))
-    if abs(v0 - 1.0) > max(100 * tol, 1e-8):
+    if abs(phi(0.0) - 1.0) > max(100 * tol, 1e-8):
         raise ValueError("phi(0) must equal 1")
-
-    probe = max(tol, 1e-12)
-    if math.isfinite(hint):
-        probe = min(probe, hint / 4.0)
-    if _curve_value(phi(probe)) >= 1.0:
+    probe = min(max(tol, 1e-12), q_upper_hint / 4.0)
+    if phi(probe) >= 1.0:
         raise HypothesisViolation(
             "mean_drift_positive",
             "phi is nondecreasing at 0+, i.e. the mean one-interval log "
             "drift is not positive; no decay exponent exists")
 
     # doubling scan for a finite value above 1
-    q_lo, q_hi = probe, None
-    q = probe
-    top = hint * (1.0 - 1e-9) if math.isfinite(hint) else math.inf
+    report = partial(LundbergReport, q_nu=q_upper_hint, hypothesis_flags={},
+                     phi_at_endpoint=phi_at_endpoint)
+    q_lo = q = probe
+    top = q_upper_hint * (1.0 - 1e-9)
     while True:
         q_next = min(q * 2.0, top)
         val = phi(q_next)
-        if _is_unstable(val) or math.isinf(_curve_value(val)):
-            q_hi = q_next
-            break
-        if _curve_value(val) > 1.0:
-            q_hi = q_next
+        if math.isinf(val) or val > 1.0:
             break
         q_lo = q_next
         if q_next >= top:
             # exhausted the admissible range below the endpoint
-            return LundbergReport(
-                beta=None, q_nu=q_nu if q_nu is not None else hint,
-                phi_at_endpoint=phi_at_endpoint, method=method,
-                ci_halfwidth=None, hypothesis_flags=flags, status="no_root")
+            return report(beta=None, status="no_root")
         q = q_next
 
-    def refine(curve: Callable[[float], float]) -> Optional[float]:
-        lo, hi = q_lo, q_hi
-        flo = curve(lo) - 1.0
-        if flo > 0:
+    def bisect(lo: float, hi: float) -> float:
+        if phi(lo) - 1.0 > 0:
             return lo
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            fm = curve(mid) - 1.0
+            fm = phi(mid) - 1.0
             if math.isinf(fm) or math.isnan(fm):
                 hi = mid
                 continue
@@ -584,97 +607,58 @@ def solve_beta(phi: Callable[[float], Union[float, PhiNuEstimate]],
             else:
                 lo = mid
             if hi - lo <= 1e-16 * max(1.0, hi):
-                return 0.5 * (lo + hi)
+                break
         return 0.5 * (lo + hi)
 
-    def base_curve(x: float) -> float:
-        v = phi(x)
-        if _is_unstable(v):
-            return math.inf
-        return _curve_value(v)
-
-    beta = refine(base_curve)
-    ci = None
-    if mc_band is not None:
-        lo_root = refine(lambda x: mc_band(x)[1])   # upper curve crosses first
-        hi_root = refine(lambda x: mc_band(x)[0])
-        if lo_root is not None and hi_root is not None:
-            ci = abs(hi_root - lo_root) / 2.0
-    return LundbergReport(
-        beta=float(beta), q_nu=q_nu if q_nu is not None else hint,
-        phi_at_endpoint=phi_at_endpoint, method=method, ci_halfwidth=ci,
-        hypothesis_flags=flags, status="root")
+    return report(beta=float(bisect(q_lo, q_next)), status="root")
 
 
 def lundberg_report(config: ModelConfig, tol: float = 1e-10,
-                    method: str = "auto", mc_samples: int = 1_000_000,
                     seed: int = 0) -> LundbergReport:
     """Full decay-exponent analysis for a model configuration.
 
-    Constant-coefficient regimes get the analytic route: the tangent
-    geometry pins the transform endpoint, one ``classify_endpoint`` pass
-    gives the endpoint verdict and value (both kept on the report), the
-    value decides existence, and bisection finds the root to ``tol``.
-    Anything else is probed by Monte Carlo on a cached sample of nu draws.
+    A constant regime's tangent geometry pins the transform endpoint, and
+    one ``classify_endpoint`` pass gives the endpoint verdict and value (both
+    kept on the report).  A piecewise regime's endpoint is the root of
+    theta_q = q_tau.  The value at the endpoint decides existence, and
+    bisection finds the root to ``tol``.  Every step is deterministic;
+    ``seed`` is accepted for old callers and ignored.
     """
     ek = config.require_positive_drift()
-    analytic = (config.has_investment and config.regime.mode == "constant"
-                and method in ("auto", "analytic"))
-    claim = config.claim_dist
-    tau_dist = config.interarrival_dist
-
-    if analytic:
-        theta = config.regime.theta
-        endpoint = tau_dist.mgf_endpoint()
-        q_tau = endpoint.q_max
-        geometry = verdict = None
-        phi_end: Optional[float] = None
+    if not config.has_investment:
+        raise DistributionError("nu degenerates without investment")
+    regime, tau_dist = config.regime, config.interarrival_dist
+    q_tau = tau_dist.mgf_endpoint().q_max
+    geometry = verdict = phi_end = None
+    q_nu = math.inf
+    if regime.mode == "piecewise":
+        phi = partial(phi_nu_piecewise, regime, tau_dist)
         if math.isfinite(q_tau):
-            geometry = q_plus_compute(theta, q_tau)
+            q_nu = _cell_root(regime, q_tau)
+            phi_end = phi(q_nu)
+    else:
+        phi = partial(phi_nu_analytic, regime.theta, tau_dist)
+        if math.isfinite(q_tau):
+            geometry = q_plus_compute(regime.theta, q_tau)
             q_nu = geometry.q_plus
             verdict = classify_endpoint(geometry, tau_dist, delta=q_tau / 2.0)
             phi_end = endpoint_phi_value(verdict)
-            if phi_end <= 1.0:
-                return LundbergReport(
-                    beta=None, q_nu=q_nu, phi_at_endpoint=phi_end,
-                    method="analytic", ci_halfwidth=None,
-                    hypothesis_flags=_flags(config, ek, None), status="no_root",
-                    geometry=geometry, endpoint=verdict)
-        else:
-            q_nu = math.inf
-        report = solve_beta(partial(phi_nu_analytic, theta, tau_dist),
-                            q_upper_hint=q_nu, tol=tol, q_nu=q_nu,
-                            phi_at_endpoint=phi_end, method="analytic")
-        return replace(report, hypothesis_flags=_flags(config, ek, report.beta),
-                       geometry=geometry, endpoint=verdict)
-
-    nu = sample_nu(config, mc_samples, seed)
-    cache: dict = {}
-
-    def mc_curve(q: float) -> PhiNuEstimate:
-        if q not in cache:
-            cache[q] = phi_nu_mc(config, q, mc_samples, seed, nu=nu)
-        return cache[q]
-
-    def band(q: float) -> Tuple[float, float]:
-        est = mc_curve(q)
-        return est.estimate - 2 * est.stderr, est.estimate + 2 * est.stderr
-
-    report = solve_beta(mc_curve, q_upper_hint=math.inf, tol=max(tol, 1e-6),
-                        method="monte_carlo", mc_band=band)
-    flagged = [q for q, v in cache.items() if v.stability_flag]
-    q_nu_soft = min(flagged) if flagged else math.inf
-    return replace(report, q_nu=q_nu_soft,
-                   hypothesis_flags=_flags(config, ek, report.beta))
+    if phi_end is not None and phi_end <= 1.0:
+        return LundbergReport(
+            beta=None, q_nu=q_nu, phi_at_endpoint=phi_end,
+            hypothesis_flags=_flags(config, ek, None), status="no_root",
+            geometry=geometry, endpoint=verdict)
+    report = solve_beta(phi, q_upper_hint=q_nu, tol=tol,
+                        phi_at_endpoint=phi_end)
+    return replace(report, hypothesis_flags=_flags(config, ek, report.beta),
+                   geometry=geometry, endpoint=verdict)
 
 
 def _flags(config: ModelConfig, ek: Optional[float],
            beta: Optional[float]) -> dict:
     flags = {"ek_positive": ek is not None and ek > 0.0}
     if beta is None:
-        flags["claim_moment_ok"] = None
-        flags["cond_tau_ok"] = None
-        return flags
+        return dict(flags, claim_moment_ok=None, cond_tau_ok=None)
     delta = 1e-6 * max(1.0, beta)
     flags["claim_moment_ok"] = math.isfinite(config.claim_dist.moment(beta + delta))
     q_tau = config.interarrival_dist.mgf_endpoint().q_max

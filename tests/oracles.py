@@ -33,6 +33,7 @@ import numpy as np
 from ruinlab.distributions import Distribution
 from ruinlab.engine import discounted_sup
 from ruinlab.errors import DistributionError
+from ruinlab.lundberg import sample_nu
 from ruinlab.model import ModelConfig, PremiumSpec, RngStreams, as_streams
 from ruinlab.perpetuity import PairSampler, _untimed
 from ruinlab.ruin import barrier_level
@@ -340,3 +341,16 @@ def sample_R(pair_sampler: PairSampler, n_max: int, rel_tol: float,
                          rel_tol=rel_tol)
     return PerpetuitySample(float(run.total[0]), int(run.n_terms[0]),
                             bool(run.stopped[0]))
+
+
+# -- Monte Carlo step-multiplier transform ------------------------------------------
+
+def phi_nu_mc(config: ModelConfig, q: float, n: int,
+              rng: Union[int, RngStreams], nu: Optional[np.ndarray] = None
+              ) -> Tuple[float, float]:
+    """Empirical E exp(q nu) over n kernel draws of nu (or the given draws),
+    with its standard error."""
+    if nu is None:
+        nu = sample_nu(config, n, rng)
+    w = np.exp(q * nu)
+    return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(len(w)))

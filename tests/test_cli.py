@@ -6,6 +6,7 @@ import pytest
 
 from ruinlab import ConfigError, lundberg, parse_experiment
 from ruinlab.cli import main
+from ruinlab.engine import StepKernel
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
 
@@ -68,11 +69,11 @@ def test_lundberg_reuses_report_geometry(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     assert len(sums) == 1      # one pass over the countable series
     assert json.loads(capsys.readouterr().out) == {
-        "beta": None, "ci_halfwidth": None, "endpoint_inconclusive": False,
+        "beta": None, "endpoint_inconclusive": False,
         "endpoint_verdict": "endpoint_finite",
         "hypothesis_flags": {"claim_moment_ok": None, "cond_tau_ok": None,
                              "ek_positive": True},
-        "method": "analytic", "phi_at_endpoint": 0.6864049476390953,
+        "phi_at_endpoint": 0.6864049476390953,
         "q_nu": 0.6180339887498949, "q_plus": 0.6180339887498949,
         "status": "no_root", "touching_points": [[0.0, 1.0]]}
     assert main(["lundberg", "--config", write_cfg(tmp_path, BETA2)]) == 0
@@ -110,11 +111,15 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("output", {"path": "out/run", "format": "csv"}, "$.output", "format"),
     ("model", dict(BETA2["model"], grid_step=1e-3), "$.model", "grid_step"),
     ("ruin", {"premium_nodes": 8}, "$.ruin", "premium_nodes"),
-], ids=["validate", "output", "grid_step", "premium_nodes"])
+    ("lundberg", {"method": "monte_carlo"}, "$.lundberg", "method"),
+    ("lundberg", {"mc_samples": 1000}, "$.lundberg", "mc_samples"),
+], ids=["validate", "output", "grid_step", "premium_nodes", "method",
+        "mc_samples"])
 def test_unread_schema_fields_rejected(block, value, path, key):
     # validate.suite, output.format, model.grid_step and ruin.premium_nodes
     # were accepted and never read by the library (or only ever set to the
-    # default)
+    # default); lundberg.method and lundberg.mc_samples selected a Monte
+    # Carlo root route that no longer exists
     with pytest.raises(ConfigError) as err:
         parse_experiment(dict(BETA2, **{block: value}))
     assert err.value.field == path
@@ -235,8 +240,25 @@ def test_perpetuity_command(tmp_path, capsys):
 
 
 def test_validate_rejects_seed(capsys):
-    # every acceptance criterion runs at its own fixed seed
-    with pytest.raises(SystemExit) as err:
-        main(["validate", "--seed", "1"])
-    assert err.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    # every acceptance criterion runs at its own fixed seed, and the
+    # exponent report draws nothing
+    for argv in (["validate"], ["lundberg", "--config", "unread.json"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--seed", "1"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_lundberg_piecewise(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact route drew Monte Carlo samples")
+
+    monkeypatch.setattr(StepKernel, "sample", refuse)
+    assert main(["lundberg", "--config", write_cfg(tmp_path, PIECEWISE),
+                 "--tol", "1e-10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "root"
+    assert abs(doc["beta"] - 1.93512132) <= 1e-8
+    assert doc["q_nu"] == pytest.approx(7.95932326155, rel=1e-9)
+    assert doc["phi_at_endpoint"] == "inf"
+    assert "q_plus" not in doc
