@@ -7,8 +7,8 @@ from .model import ModelConfig, PremiumSpec, RegimeSpec, RngStreams
 from .theta import ThetaLaw, zeta_regime_law
 from .lundberg import (HLaw, LundbergReport, TangentGeometry, EndpointVerdict,
                        lundberg_report, phi_nu_analytic, phi_nu_piecewise,
-                       q_plus_compute, sample_nu, solve_beta,
-                       classify_endpoint, u_vector)
+                       q_plus_compute, sample_nu, classify_endpoint,
+                       u_vector)
 from .perpetuity import (GoldieEstimate, PerpetuityBatch, goldie_constant,
                          ks_fixed_point, model_pair_sampler, qbar_pair_sampler,
                          sample_R_values, sample_Rbar_values,

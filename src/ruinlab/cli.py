@@ -97,16 +97,15 @@ def _intish(s: str) -> int:
 
 def cmd_lundberg(args) -> int:
     exp = load_experiment(args.config)
-    block = exp.block("lundberg")
-    tol = args.tol if args.tol is not None else block.get("tol", 1e-10)
-    report = lundberg_report(exp.model, tol=tol)
+    report = lundberg_report(exp.model)
     doc = report.to_dict()
     if report.geometry is not None:
         doc["q_plus"] = report.geometry.q_plus
         doc["touching_points"] = [list(p)
                                   for p in report.geometry.touching_points]
-        doc["endpoint_verdict"] = report.endpoint.verdict
-        doc["endpoint_inconclusive"] = report.endpoint.inconclusive
+        doc["endpoint_verdict"] = ("endpoint_infinite"
+                                   if report.phi_at_endpoint == math.inf
+                                   else "endpoint_finite")
     _dump_json(doc, _out_base(args, exp))
     beta = "none" if report.beta is None else f"{report.beta:.10g}"
     print(f"lundberg: beta={beta} q_nu={report.q_nu:.6g} "
@@ -263,17 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometric-Brownian investment returns")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p, out=True, seed=True, workers=True):
         p.add_argument("--config", required=True, help="experiment JSON")
-        p.add_argument("--out", default=None, help="output path base")
-        if seeded:
+        if out:
+            p.add_argument("--out", default=None, help="output path base")
+        if seed:
             p.add_argument("--seed", type=int, default=None)
+        if workers:
             p.add_argument("--workers", type=int,
                            default=max(1, os.cpu_count() or 1))
 
     p = sub.add_parser("lundberg", help="decay-exponent report")
-    common(p, seeded=False)
-    p.add_argument("--tol", type=float, default=None)
+    common(p, seed=False, workers=False)
     p.set_defaults(fn=cmd_lundberg)
 
     p = sub.add_parser("ruin", help="Monte Carlo ruin probabilities")
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", help="dump one kernel path of the reserve at claim "
                          "times until ruin, the barrier or the step cap")
-    common(p)
+    common(p, out=False, workers=False)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--barrier", type=float, default=1_000.0)

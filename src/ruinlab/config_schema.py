@@ -174,8 +174,8 @@ def _parse_premium(obj, path) -> PremiumSpec:
 def parse_experiment(doc: dict) -> ExperimentConfig:
     doc = dict(_expect_mapping(doc, "$"))
     top = _take(doc, "$", {
-        "version": "int", "seed": "int", "model": "obj", "lundberg": "obj",
-        "ruin": "obj", "perpetuity": "obj", "output": "obj",
+        "version": "int", "seed": "int", "model": "obj", "ruin": "obj",
+        "perpetuity": "obj", "output": "obj",
     }, ("version", "model"))
     if top["version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported version {top['version']}", "$.version")
@@ -200,7 +200,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         raise ConfigError(str(exc), "$.model") from exc
     blocks = {}
     _BLOCK_FIELDS = {
-        "lundberg": {"tol": "number"},
         "ruin": {"u_grid": "list", "n_paths": "int", "max_steps": "int",
                  "barrier_multiple": "number"},
         "perpetuity": {"samples": "int", "rel_tol": "number", "n_max": "int"},
@@ -221,6 +220,9 @@ def load_experiment(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read the config: {exc.strerror}",
+                          path) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}",
                           path) from exc

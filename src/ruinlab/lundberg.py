@@ -7,7 +7,12 @@ Wiener path jointly independent, conditioning on the interval gives
 
 so the step-multiplier transform is the inter-arrival MGF averaged over a
 linear functional of the coefficient vector.  The decay exponent beta is
-the positive root of phi_nu(beta) = 1 when one exists.
+the positive root of phi_nu(beta) = 1 when one exists.  phi_nu is convex
+with phi_nu(0) = 1 and a negative slope at 0 under positive drift, so beta
+exists iff phi_nu(q_nu) > 1 at the transform endpoint q_nu (inf counts).
+One routine, ``_first_root``, finds beta below q_nu and the piecewise
+endpoint below: it brackets the root by doubling and halving from q = 1
+and finishes with Brent's method to full double precision.
 
 Both phi_nu(q) and its endpoint value are one expectation over a gap law.
 Given a level a >= <u(q), Theta> on the support, the gap
@@ -43,7 +48,7 @@ solves theta_q = q_tau (inf for bounded tau).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
@@ -57,7 +62,7 @@ from .model import ModelConfig, RegimeSpec, RngStreams, as_streams
 from .theta import SERIES_HEAD, ThetaLaw, countable_sum
 
 __all__ = [
-    "u_vector", "phi_nu_analytic", "phi_nu_piecewise", "solve_beta",
+    "u_vector", "phi_nu_analytic", "phi_nu_piecewise",
     "lundberg_report", "q_plus_compute", "classify_endpoint",
     "LundbergReport", "TangentGeometry", "HLaw", "EndpointVerdict",
 ]
@@ -129,10 +134,8 @@ class LundbergReport:
     phi_at_endpoint: Optional[float]   # inf allowed; None when unknown
     hypothesis_flags: dict
     status: str                        # "root" | "no_root"
-    # tangent geometry and endpoint verdict of a constant regime, kept out
-    # of to_dict
+    # tangent geometry of a constant regime, kept out of to_dict
     geometry: Optional[TangentGeometry] = field(default=None, compare=False)
-    endpoint: Optional[EndpointVerdict] = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -477,21 +480,21 @@ def _cell_mgf(regime: RegimeSpec, q: float, w: float) -> float:
     if not math.isfinite(regime.sigma_law.support()[1]):
         raise DistributionError("piecewise phi_nu needs a bounded sigma law")
     c = 0.5 * q * (q + 1.0) * w
-    return (float(regime.mu_law.mgf(-q * w))
-            * _expect_1d(regime.sigma_law, lambda s: math.exp(c * s * s)))
+    try:
+        return (float(regime.mu_law.mgf(-q * w))
+                * _expect_1d(regime.sigma_law, lambda s: math.exp(c * s * s)))
+    except OverflowError:
+        raise DistributionError(
+            f"the one-cell transform M_q(w) overflows at q = {q:.6g}, "
+            f"w = {w:.6g}; the cell width h is too wide") from None
 
 
 def _cell_root(regime: RegimeSpec, q_tau: float) -> float:
     """q_nu of a piecewise regime with finite q_tau, the root of log M_q(h) =
     h q_tau: log M_q(h) is a cumulant transform, convex in q with a negative
     slope at 0 under positive drift, so the root is unique."""
-    f = lambda q: math.log(_cell_mgf(regime, q, regime.h)) - regime.h * q_tau
-    q = 1.0
-    while f(q) <= 0.0:
-        q *= 2.0
-    while f(q / 2.0) > 0.0:
-        q /= 2.0
-    return optimize.brentq(f, q / 2.0, q, xtol=1e-300, rtol=1e-15)
+    return _first_root(lambda q: math.log(_cell_mgf(regime, q, regime.h))
+                       - regime.h * q_tau)
 
 
 def phi_nu_piecewise(regime: RegimeSpec, tau_dist: Distribution,
@@ -555,117 +558,69 @@ def sample_nu(config: ModelConfig, n: int, rng: Union[int, RngStreams]
 
 # -- root finding -------------------------------------------------------------------
 
-def solve_beta(phi: Callable[[float], float], q_upper_hint: float = math.inf,
-               tol: float = 1e-10, phi_at_endpoint: Optional[float] = None
-               ) -> LundbergReport:
-    """Find the positive root of phi(q) = 1 by doubling and bisection below
-    the transform endpoint ``q_upper_hint``, which the report keeps as q_nu.
-
-    ``phi`` must satisfy phi(0) = 1 with a negative initial slope (checked
-    numerically; a nonnegative slope raises the mean-drift violation).  The
-    bracket never crosses the endpoint: values of ``inf`` act as soft upper
-    boundaries.
-    """
-    if abs(phi(0.0) - 1.0) > max(100 * tol, 1e-8):
-        raise ValueError("phi(0) must equal 1")
-    probe = min(max(tol, 1e-12), q_upper_hint / 4.0)
-    if phi(probe) >= 1.0:
-        raise HypothesisViolation(
-            "mean_drift_positive",
-            "phi is nondecreasing at 0+, i.e. the mean one-interval log "
-            "drift is not positive; no decay exponent exists")
-
-    # doubling scan for a finite value above 1
-    report = partial(LundbergReport, q_nu=q_upper_hint, hypothesis_flags={},
-                     phi_at_endpoint=phi_at_endpoint)
-    q_lo = q = probe
-    top = q_upper_hint * (1.0 - 1e-9)
-    while True:
-        q_next = min(q * 2.0, top)
-        val = phi(q_next)
-        if math.isinf(val) or val > 1.0:
-            break
-        q_lo = q_next
-        if q_next >= top:
-            # exhausted the admissible range below the endpoint
-            return report(beta=None, status="no_root")
-        q = q_next
-
-    def bisect(lo: float, hi: float) -> float:
-        if phi(lo) - 1.0 > 0:
-            return lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = phi(mid) - 1.0
-            if math.isinf(fm) or math.isnan(fm):
-                hi = mid
-                continue
-            if abs(fm) <= tol:
-                return mid
-            if fm > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-16 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
-    return report(beta=float(bisect(q_lo, q_next)), status="root")
+def _first_root(f: Callable[[float], float],
+                cap: float = math.inf) -> Optional[float]:
+    """The first root in (0, cap) of f, which is negative just above 0, or
+    None when f stays at or below 0 up to ``cap``.  Doubling from q = 1
+    (stopping at ``cap``) finds a q with f(q) > 0, inf included, halving
+    moves q down while f(q/2) > 0, and Brent's method (Brent 1973) finishes
+    on [q/2, q] to full double precision."""
+    q = min(1.0, cap)
+    while not f(q) > 0.0:
+        if q >= cap:
+            return None
+        q = min(2.0 * q, cap)
+    while f(q / 2.0) > 0.0:
+        q /= 2.0
+    return optimize.brentq(f, q / 2.0, q, xtol=1e-300, rtol=1e-15)
 
 
 def lundberg_report(config: ModelConfig, tol: float = 1e-10,
                     seed: int = 0) -> LundbergReport:
     """Full decay-exponent analysis for a model configuration.
 
-    A constant regime's tangent geometry pins the transform endpoint, and
-    one ``classify_endpoint`` pass gives the endpoint verdict and value (both
-    kept on the report).  A piecewise regime's endpoint is the root of
-    theta_q = q_tau.  The value at the endpoint decides existence, and
-    bisection finds the root to ``tol``.  Every step is deterministic;
-    ``seed`` is accepted for old callers and ignored.
+    The transform endpoint q_nu is q_plus of a constant regime's tangent
+    geometry (kept on the report), or the root of theta_q = q_tau for a
+    piecewise regime; it is inf when q_tau is.  phi_nu(q_nu), from the same
+    phi_nu that is solved, decides whether beta exists, and ``_first_root``
+    finds it below q_nu (1 - 1e-9).  Every step is deterministic; ``tol``
+    and ``seed`` are accepted for old callers and ignored.
     """
-    ek = config.require_positive_drift()
+    config.require_positive_drift()
     if not config.has_investment:
         raise DistributionError("nu degenerates without investment")
     regime, tau_dist = config.regime, config.interarrival_dist
     q_tau = tau_dist.mgf_endpoint().q_max
-    geometry = verdict = phi_end = None
-    q_nu = math.inf
+    geometry, q_nu = None, math.inf
     if regime.mode == "piecewise":
         phi = partial(phi_nu_piecewise, regime, tau_dist)
         if math.isfinite(q_tau):
             q_nu = _cell_root(regime, q_tau)
-            phi_end = phi(q_nu)
     else:
         phi = partial(phi_nu_analytic, regime.theta, tau_dist)
         if math.isfinite(q_tau):
             geometry = q_plus_compute(regime.theta, q_tau)
             q_nu = geometry.q_plus
-            verdict = classify_endpoint(geometry, tau_dist, delta=q_tau / 2.0)
-            phi_end = endpoint_phi_value(verdict)
-    if phi_end is not None and phi_end <= 1.0:
-        return LundbergReport(
-            beta=None, q_nu=q_nu, phi_at_endpoint=phi_end,
-            hypothesis_flags=_flags(config, ek, None), status="no_root",
-            geometry=geometry, endpoint=verdict)
-    report = solve_beta(phi, q_upper_hint=q_nu, tol=tol,
-                        phi_at_endpoint=phi_end)
-    return replace(report, hypothesis_flags=_flags(config, ek, report.beta),
-                   geometry=geometry, endpoint=verdict)
+    phi_end = phi(q_nu) if math.isfinite(q_nu) else None
+    beta = None
+    if phi_end is None or phi_end > 1.0:
+        beta = _first_root(lambda q: phi(q) - 1.0, q_nu * (1.0 - 1e-9))
+    return LundbergReport(beta=beta, q_nu=q_nu, phi_at_endpoint=phi_end,
+                          hypothesis_flags=_flags(config, beta),
+                          status="no_root" if beta is None else "root",
+                          geometry=geometry)
 
 
-def _flags(config: ModelConfig, ek: Optional[float],
-           beta: Optional[float]) -> dict:
-    flags = {"ek_positive": ek is not None and ek > 0.0}
+def _flags(config: ModelConfig, beta: Optional[float]) -> dict:
     if beta is None:
-        return dict(flags, claim_moment_ok=None, cond_tau_ok=None)
-    delta = 1e-6 * max(1.0, beta)
-    flags["claim_moment_ok"] = math.isfinite(config.claim_dist.moment(beta + delta))
+        return {"claim_moment_ok": None, "cond_tau_ok": None}
+    # E xi^(beta + delta) is finite for every claim law but Pareto, whose
+    # moments stop at its index, so the moment itself is never evaluated
+    claim = config.claim_dist
+    moment_ok = (claim.kind != "pareto"
+                 or beta + 1e-6 * max(1.0, beta) < claim.params[0])
     q_tau = config.interarrival_dist.mgf_endpoint().q_max
-    if math.isinf(q_tau):
-        flags["cond_tau_ok"] = True
-    else:
-        sbar2 = config.sigma_upper ** 2
-        need = beta ** 2 * sbar2 / 2.0 + beta * max(0.0, sbar2 / 2.0 - config.mu_lower)
-        flags["cond_tau_ok"] = bool(q_tau > need)
-    return flags
+    sbar2 = config.sigma_upper ** 2
+    need = beta ** 2 * sbar2 / 2.0 + beta * max(0.0, sbar2 / 2.0 - config.mu_lower)
+    return {"claim_moment_ok": moment_ok,
+            "cond_tau_ok": math.isinf(q_tau) or bool(q_tau > need)}

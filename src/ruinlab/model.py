@@ -236,12 +236,6 @@ class ModelConfig:
             e_hs = 0.5 * self.regime.sigma_law.moment(2.0)
         return (e_mu - e_hs) * e_tau
 
-    @property
-    def ek_positive(self) -> Optional[bool]:
-        if self.regime is None:
-            return None
-        return self.expected_log_drift() > 0.0
-
     def require_positive_drift(self) -> Optional[float]:
         """E K, after checking it is positive; None without investment."""
         if self.regime is None:

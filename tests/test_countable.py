@@ -125,13 +125,14 @@ def test_gamma_interarrivals_shift_the_dichotomy():
 
 
 def test_zeta_dichotomy_and_root():
-    for p in (2, 3, 4, 5):
-        rep = lundberg_report(zeta_cfg(p), tol=1e-10)
-        want = "endpoint_infinite" if p == 2 else "endpoint_finite"
-        assert rep.endpoint.verdict == want
-        assert not rep.endpoint.inconclusive
+    for p in (3, 4, 5):
+        rep = lundberg_report(zeta_cfg(p))
+        assert rep.status == "no_root"
+        assert rel(rep.phi_at_endpoint, endpoint_exact(p)) <= 1e-12
+    rep = lundberg_report(zeta_cfg(2))
+    assert rep.phi_at_endpoint == math.inf
     beta = mp.findroot(lambda q: phi_exact(2, q) - 1, 0.4088)
-    assert abs(lundberg_report(zeta_cfg(2), tol=1e-10).beta - beta) <= 1e-10
+    assert abs(rep.beta - beta) <= 1e-14
     assert abs(beta - mp.mpf("0.408809892850221")) <= 1e-15
 
 

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 from ruinlab import (Distribution, DistributionError, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, ThetaLaw,
                      lundberg_report, phi_nu_analytic, q_plus_compute,
-                     sample_nu, solve_beta, classify_endpoint, u_vector,
+                     sample_nu, classify_endpoint, u_vector,
                      zeta_regime_law)
-from ruinlab.lundberg import _touch_values, endpoint_phi_value
+from ruinlab import lundberg
+from ruinlab.lundberg import _first_root, _touch_values, endpoint_phi_value
 from oracles import phi_nu_mc
+from test_ruin import piecewise_cfg
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EXP1 = Distribution.exponential(1.0)
@@ -268,15 +271,15 @@ class TestZetaPinned:
     sums; each pin is within 1 ulp of the correctly rounded mpmath value or
     closer to it than the block-sum pin it replaced."""
 
-    PHI_END = {2: math.inf, 3: 0.845737967888716, 4: 0.6864049476390953,
+    PHI_END = {2: math.inf, 3: 0.8457379678887159, 4: 0.6864049476390953,
                5: 0.645090790490696}
     INTEGRAL = {2: math.inf, 3: 0.14592673023375832,
                 4: 0.022852357519992077, 5: 0.004456803218611201}
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_report_and_endpoint(self, p):
-        rep = lundberg_report(zeta_cfg(p), tol=1e-10)
-        assert rep.beta == (0.40880989280000013 if p == 2 else None)
+        rep = lundberg_report(zeta_cfg(p))
+        assert rep.beta == (0.40880989285022135 if p == 2 else None)
         assert rep.phi_at_endpoint == self.PHI_END[p]
         assert rep.q_nu == 0.6180339887498949
         geom = q_plus_compute(zeta_regime_law(p), 1.0)
@@ -376,12 +379,12 @@ class TestTheorem2:
         # 1e-5 of the limit at eps = 1e-12 once rho - k >= 0.5
         tau = _gamma_tau(k)
         geom = q_plus_compute(law, 1.0)
-        end = endpoint_phi_value(classify_endpoint(geom, tau, delta=0.5))
+        end = phi_nu_analytic(law, tau, geom.q_plus)
         eps = 10.0 ** -np.arange(2.0, 13.0, 2.0)
         vals = np.array([phi_nu_analytic(law, tau, geom.q_plus * (1.0 - e))
                          for e in eps])
         assert np.all(np.diff(vals) > 0.0)
-        assert np.all(vals <= end * (1.0 + 1e-10))
+        assert np.all(vals < end)
         if rho - k >= 0.5:
             assert end - vals[-1] <= 1e-5 * end
         if rho - k < 1.0:
@@ -428,6 +431,8 @@ class TestTheorem2:
         assert verdict.verdict == "endpoint_finite"
         want = _gap_mean(*widths(geom.q_plus), k, 1.0 / rate)
         assert endpoint_phi_value(verdict) == pytest.approx(want, rel=1e-7)
+        assert phi_nu_analytic(law, tau, geom.q_plus) == pytest.approx(
+            want, rel=1e-12)
 
     def test_series_without_gap_decay(self):
         # every atom at one point: a touching head atom gives rho = 0; atoms
@@ -464,10 +469,10 @@ class TestTheorem2:
 
 class TestSolveBeta:
     def test_exact_identity_cases(self):
-        rep = lundberg_report(constant_cfg(0.06, 0.02), tol=1e-10)
+        rep = lundberg_report(constant_cfg(0.06, 0.02))
         assert abs(rep.beta - 2.0) <= 1e-9
         assert rep.beta < rep.q_nu
-        rep = lundberg_report(constant_cfg(0.1, 0.02), tol=1e-10)
+        rep = lundberg_report(constant_cfg(0.1, 0.02))
         assert abs(rep.beta - 4.0) <= 1e-9
 
     def test_phi_below_one_then_above(self):
@@ -493,7 +498,7 @@ class TestSolveBeta:
             premium=PremiumSpec.zero(),
             regime=RegimeSpec.constant(zeta_regime_law(2)),
             mu_lower=0.0, sigma_upper=math.sqrt(2.0), c_bar=0.0)
-        rep = lundberg_report(cfg, tol=1e-10)
+        rep = lundberg_report(cfg)
         assert rep.status == "root"
         assert 0.0 < rep.beta < rep.q_nu
         assert rep.phi_at_endpoint == math.inf
@@ -514,8 +519,7 @@ class TestSolveBeta:
 
     def test_hypothesis_flags(self):
         rep = lundberg_report(constant_cfg(0.06, 0.02))
-        assert rep.hypothesis_flags == {"ek_positive": True,
-                                        "claim_moment_ok": True,
+        assert rep.hypothesis_flags == {"claim_moment_ok": True,
                                         "cond_tau_ok": True}
         # coarse coefficient bounds can break the tail-margin condition
         rep = lundberg_report(constant_cfg(0.06, 0.02, sigma_upper=1.0))
@@ -529,21 +533,72 @@ class TestSolveBeta:
         rep = lundberg_report(cfg)
         assert rep.hypothesis_flags["claim_moment_ok"] is False
 
-    def test_solve_beta_on_plain_curve(self):
-        # explicit evaluator: phi(q) = E e^{q nu} for nu ~ N(-1, 1)
-        phi = lambda q: math.exp(-q + q * q / 2.0)
-        rep = solve_beta(phi, q_upper_hint=math.inf, tol=1e-12)
-        assert rep.beta == pytest.approx(2.0, abs=1e-9)
+    def test_first_root_on_plain_curve(self):
+        # explicit evaluator: phi(q) = E e^{q nu} for nu ~ N(-1, 1), with
+        # its root at 2 and inf from q = 3 on
+        phi = lambda q: math.exp(-q + q * q / 2.0) if q < 3.0 else math.inf
+        f = lambda q: phi(q) - 1.0
+        assert _first_root(f) == pytest.approx(2.0, rel=1e-15)
+        assert _first_root(f, cap=2.5) == pytest.approx(2.0, rel=1e-15)
+        assert _first_root(f, cap=1.5) is None
+        # a root far below q = 1 is reached by halving
+        assert _first_root(lambda q: f(q * 1e6) * 1e6) == pytest.approx(
+            2e-6, rel=1e-15)
+
+    def test_large_beta_flags(self):
+        # beta = 0.9 / 0.004 - 1 = 224: E xi^beta of the Exp(1) claims
+        # overflows math.gamma, and the flag comes from the claim law
+        rep = lundberg_report(constant_cfg(0.9, 0.004))
+        assert rep.beta == pytest.approx(224.0, rel=1e-14)
+        assert rep.hypothesis_flags["claim_moment_ok"] is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.floats(0.05, 1.0), frac=st.floats(1.0 / 150.0, 1.0 / 1.5),
+           tau=st.one_of(
+               st.just(Distribution.deterministic(1.0)),
+               st.floats(0.1, 10.0).map(Distribution.exponential),
+               st.builds(Distribution.gamma, st.floats(0.3, 5.0),
+                         st.floats(0.1, 3.0))))
+    def test_point_mass_root_is_exact(self, mu, frac, tau):
+        # a point mass at (mu, s) gives phi_nu(q) = phi_tau(q ((q + 1) s - mu)),
+        # which is 1 exactly at q = mu / s - 1
+        hs = mu * frac
+        rep = lundberg_report(constant_cfg(mu, hs, tau=tau))
+        want = mu / hs - 1.0
+        assert rep.beta == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("cfg", [zeta_cfg(2), piecewise_cfg()],
+                             ids=["zeta_p2", "piecewise"])
+    def test_report_phi_calls(self, cfg, monkeypatch):
+        calls = []
+        for name in ("phi_nu_analytic", "phi_nu_piecewise"):
+            real = getattr(lundberg, name)
+            monkeypatch.setattr(lundberg, name, lambda *a, real=real:
+                                calls.append(a) or real(*a))
+        assert lundberg_report(cfg).status == "root"
+        assert len(calls) <= 20
+
+    def test_product_box_endpoint_against_closed_form(self):
+        # Gamma(0.5, 2) tau: q_tau = 0.5, and H at q_plus is the sum of two
+        # uniforms, so phi_nu(q_plus) has the closed form of _gap_mean
+        cfg = ModelConfig(
+            claim_dist=EXP1, interarrival_dist=Distribution.gamma(0.5, 2.0),
+            premium=PremiumSpec.zero(), regime=RegimeSpec.constant(UNIF_BOX),
+            mu_lower=0.2, sigma_upper=0.2, c_bar=0.0)
+        rep = lundberg_report(cfg)
+        q = rep.q_nu
+        want = _gap_mean(0.05 * q, 0.01 * q * (q + 1.0), 0.5, 2.0)
+        assert rep.phi_at_endpoint == pytest.approx(want, rel=1e-12)
 
     def test_product_box_endpoint_counts_mass_beyond_delta(self):
-        # phi_nu(q_plus) = 1.2207 > 1 only once the gaps above delta are
-        # counted; the (0, delta] part alone is 0.4341
+        # phi_nu(q_plus) = 1.2207 > 1 only once the gaps above q_tau/2 are
+        # counted; the gaps up to q_tau/2 alone give 0.4341
         law = UNIF_BOX
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,
             premium=PremiumSpec.zero(), regime=RegimeSpec.constant(law),
             mu_lower=0.2, sigma_upper=0.2, c_bar=0.0)
-        rep = lundberg_report(cfg, tol=1e-6)
+        rep = lundberg_report(cfg)
         assert rep.status == "root"
         assert rep.beta == pytest.approx(12.513458, abs=1e-5)
         below = phi_nu_analytic(law, EXP1, rep.q_nu * (1.0 - 1e-8))
@@ -551,8 +606,7 @@ class TestSolveBeta:
 
     def test_polygon_box_matches_product_box(self):
         # the box above as a polygon is the same law of Theta, so the same
-        # beta; at the default tol the root search starts from phi_nu at
-        # q = 1e-10, where every gap is near q_tau and the slope is -E K
+        # beta; near q = 0 every gap is near q_tau and the slope is -E K
         box = ThetaLaw.polytope_uniform(
             [(0.2, 0.01), (0.25, 0.01), (0.25, 0.02), (0.2, 0.02)])
         cfg = ModelConfig(

@@ -56,12 +56,12 @@ class TestDrift:
     def test_ek_constant_mode(self):
         # E K = E(mu - sigma^2/2) E tau
         assert beta2_cfg().expected_log_drift() == pytest.approx(0.04, rel=1e-12)
-        assert beta2_cfg().ek_positive
+        assert beta2_cfg().expected_log_drift() > 0.0
 
     def test_ek_negative_raises_on_demand(self):
         cfg = beta2_cfg(regime=RegimeSpec.constant(ThetaLaw.point_mass(0.01, 0.02)),
                         mu_lower=0.01)
-        assert not cfg.ek_positive
+        assert cfg.expected_log_drift() < 0.0
         with pytest.raises(HypothesisViolation) as err:
             cfg.require_positive_drift()
         assert err.value.condition == "mean_drift_positive"
@@ -69,7 +69,7 @@ class TestDrift:
     def test_classical_has_no_drift_notion(self):
         cfg = beta2_cfg(regime=None, premium=PremiumSpec.constant(0.1))
         assert cfg.expected_log_drift() == 0.0
-        assert cfg.ek_positive is None
+        assert cfg.require_positive_drift() is None
 
 
 class TestDraws:

@@ -42,7 +42,7 @@ def no_sampling(monkeypatch):
 
 def test_report_on_test_config(no_sampling):
     start = time.process_time()
-    rep = lundberg_report(piecewise_cfg(), tol=1e-10)
+    rep = lundberg_report(piecewise_cfg())
     assert time.process_time() - start < 1.0
     assert rep.status == "root"
     assert abs(rep.beta - 1.93512132) <= 1e-8
@@ -55,7 +55,7 @@ def test_gamma_shape_below_one_report_is_fast(no_sampling):
     # a call took 45 ms of CPU and the report 4 s
     cfg = replace(piecewise_cfg(), interarrival_dist=TAUS["gamma_half"])
     start = time.process_time()
-    rep = lundberg_report(cfg, tol=1e-10)
+    rep = lundberg_report(cfg)
     assert time.process_time() - start < 1.0
     assert rep.status == "root" and rep.phi_at_endpoint == math.inf
 
@@ -63,12 +63,21 @@ def test_gamma_shape_below_one_report_is_fast(no_sampling):
 def test_lognormal_interarrivals_have_no_root(no_sampling):
     # q_tau = 0: phi_nu stays below 1 up to q_nu and is infinite beyond
     cfg = replace(piecewise_cfg(), interarrival_dist=TAUS["lognormal"])
-    rep = lundberg_report(cfg, tol=1e-10)
+    rep = lundberg_report(cfg)
     assert rep.status == "no_root" and rep.beta is None
     assert rep.q_nu == pytest.approx(1.9349632678, rel=1e-9)
     assert rep.phi_at_endpoint < 1.0
     assert phi_nu_piecewise(cfg.regime, cfg.interarrival_dist,
                             rep.q_nu * (1.0 + 1e-9)) == math.inf
+
+
+def test_wide_cells_raise_distribution_error(no_sampling):
+    # M_q(h) passes e^709 below q_nu at h = 1000, and the overflow is named
+    cfg = piecewise_cfg()
+    regime = RegimeSpec.piecewise(1000.0, cfg.regime.mu_law,
+                                  cfg.regime.sigma_law)
+    with pytest.raises(DistributionError, match="overflows"):
+        lundberg_report(replace(cfg, regime=regime))
 
 
 @pytest.mark.parametrize("tau", [TAUS[k] for k in
