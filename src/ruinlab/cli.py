@@ -118,14 +118,16 @@ def _check_ruin_hypotheses(model):
     paths on an estimate that converges to 1."""
     if model.has_investment:
         model.require_positive_drift()
-    elif model.premium.mode == "constant":
-        load = (model.claim_dist.mean()
-                - model.premium.c * model.interarrival_dist.mean())
-        if load >= 0:
-            raise HypothesisViolation(
-                "safety_loading",
-                f"mean claim outflow exceeds premium inflow by {load:.6g} "
-                "per interval; ruin is certain")
+        return
+    prem = model.premium
+    load = model.claim_dist.mean() - prem.c * model.interarrival_dist.mean()
+    if prem.gamma_rate < 0.0:
+        why = f"a decaying premium pays {prem.c / -prem.gamma_rate:.6g} in total"
+    elif load >= 0:
+        why = f"mean claim outflow exceeds premium inflow by {load:.6g} per interval"
+    else:
+        return
+    raise HypothesisViolation("safety_loading", f"{why}; ruin is certain")
 
 
 def cmd_ruin(args) -> int:

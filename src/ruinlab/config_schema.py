@@ -8,7 +8,6 @@ compatibility.
 from __future__ import annotations
 
 import json
-import math
 from typing import Optional
 
 from .distributions import Distribution
@@ -157,15 +156,15 @@ def _parse_premium(obj, path) -> PremiumSpec:
     try:
         if mode == "constant":
             vals = _take(obj, path, {"c": "number"}, ("c",))
-            return PremiumSpec.constant(vals["c"])
+            return PremiumSpec(vals["c"])
         if mode == "zero":
             if obj:
                 raise ConfigError(f"unknown keys {sorted(obj)}", path)
-            return PremiumSpec.zero()
+            return PremiumSpec()
         if mode == "exponential_decay":
             vals = _take(obj, path, {"c1": "number", "gamma_rate": "number"},
                          ("c1", "gamma_rate"))
-            return PremiumSpec.exponential_decay(vals["c1"], vals["gamma_rate"])
+            return PremiumSpec(vals["c1"], vals["gamma_rate"])
     except DistributionError as exc:
         raise ConfigError(str(exc), path) from exc
     raise ConfigError(f"unknown premium mode {mode!r}", f"{path}.mode")
@@ -183,7 +182,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     regime_raw = m.pop("regime", None)
     mvals = _take(m, "$.model", {
         "claim": "obj", "interarrival": "obj", "premium": "obj",
-        "mu_lower": "number", "sigma_upper": "number", "c_bar": "number",
     }, ("claim", "interarrival", "premium"))
     try:
         model = ModelConfig(
@@ -192,9 +190,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
                                           "$.model.interarrival"),
             premium=_parse_premium(mvals["premium"], "$.model.premium"),
             regime=_parse_regime(regime_raw, "$.model.regime"),
-            mu_lower=mvals.get("mu_lower", -math.inf),
-            sigma_upper=mvals.get("sigma_upper", math.inf),
-            c_bar=mvals.get("c_bar", 0.0),
         )
     except DistributionError as exc:
         raise ConfigError(str(exc), "$.model") from exc

@@ -100,7 +100,8 @@ class StepKernel:
                 (self._mu0, self._hs0), _ = theta.atoms[0]
             self._theta = theta
         prem = config.premium
-        self._premium_mode = prem.mode if not prem.is_zero else "zero"
+        self._premium_mode = ("zero" if prem.c == 0.0 else "constant"
+                              if prem.gamma_rate == 0.0 else "exponential_decay")
 
     def sample(self, streams: RngStreams, n: int,
                t_start: Optional[np.ndarray] = None,

@@ -620,7 +620,7 @@ def _flags(config: ModelConfig, beta: Optional[float]) -> dict:
     moment_ok = (claim.kind != "pareto"
                  or beta + 1e-6 * max(1.0, beta) < claim.params[0])
     q_tau = config.interarrival_dist.mgf_endpoint().q_max
-    sbar2 = config.sigma_upper ** 2
-    need = beta ** 2 * sbar2 / 2.0 + beta * max(0.0, sbar2 / 2.0 - config.mu_lower)
+    mu_lower, hs_bar = config.regime_bounds()
+    need = beta ** 2 * hs_bar + beta * max(0.0, hs_bar - mu_lower)
     return {"claim_moment_ok": moment_ok,
             "cond_tau_ok": math.isinf(q_tau) or bool(q_tau > need)}

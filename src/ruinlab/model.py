@@ -1,8 +1,9 @@
 """Model configuration and the seeded generator streams.
 
 A configuration bundles the claim-size law, the inter-arrival law, the
-regime specification for the investment coefficients, the premium-rate
-specification, and the global bounds (mu_lower, sigma_upper, c_bar).
+premium rate and the regime of the investment coefficients.  The bounds
+mu_lower, sigma_bar and c_bar that the paper assumes are read off these
+laws, by ``ModelConfig.regime_bounds`` and as ``premium.c``.
 
 Randomness is organized as three decorrelated sub-streams derived from one
 master seed: ``claims`` (claim sizes), ``regime`` (inter-arrival times and
@@ -14,9 +15,8 @@ checks exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,73 +54,31 @@ def as_streams(rng: Union[int, "RngStreams"]) -> "RngStreams":
 
 @dataclass(frozen=True)
 class PremiumSpec:
-    """State-independent premium rate c(t), valued in [0, c_bar]."""
+    """Premium rate c(t) = c e^{gamma_rate t}, c >= 0 and gamma_rate <= 0, so
+    c is the bound c_bar = sup c(t)."""
 
-    mode: str  # "constant" | "exponential_decay" | "zero"
     c: float = 0.0
-    c1: float = 0.0
     gamma_rate: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("constant", "exponential_decay", "zero"):
-            raise DistributionError(f"unknown premium mode {self.mode!r}")
-        if self.mode == "constant" and self.c < 0:
-            raise DistributionError("constant premium rate must be >= 0")
-        if self.mode == "exponential_decay":
-            if self.c1 < 0:
-                raise DistributionError("decaying premium needs c1 >= 0")
-            if self.gamma_rate > 0:
-                raise DistributionError("decay exponent must be <= 0")
-
-    @classmethod
-    def constant(cls, c: float) -> "PremiumSpec":
-        return cls("constant", c=float(c))
-
-    @classmethod
-    def exponential_decay(cls, c1: float, gamma_rate: float) -> "PremiumSpec":
-        return cls("exponential_decay", c1=float(c1), gamma_rate=float(gamma_rate))
-
-    @classmethod
-    def zero(cls) -> "PremiumSpec":
-        return cls("zero")
-
-    @property
-    def max_rate(self) -> float:
-        if self.mode == "constant":
-            return self.c
-        if self.mode == "exponential_decay":
-            return self.c1
-        return 0.0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.max_rate == 0.0
+        if self.c < 0:
+            raise DistributionError("premium rate c must be >= 0")
+        if self.gamma_rate > 0:
+            raise DistributionError("decay exponent must be <= 0")
 
     def rate(self, t):
         """c(t), vectorized over t."""
-        if self.mode == "constant":
-            return self.c if np.isscalar(t) else np.full_like(np.asarray(t, float), self.c)
-        if self.mode == "zero":
-            return 0.0 if np.isscalar(t) else np.zeros_like(np.asarray(t, float))
-        return self.c1 * np.exp(self.gamma_rate * np.asarray(t, float))
+        return self.c * np.exp(self.gamma_rate * np.asarray(t, float))
 
     def integral(self, t0, t1):
         """Exact integral of c over [t0, t1] (used by the no-investment path)."""
-        if self.mode == "constant":
-            return self.c * (np.asarray(t1) - np.asarray(t0))
-        if self.mode == "zero":
-            return np.zeros_like(np.asarray(t1, float))
         g = self.gamma_rate
         if g == 0.0:
-            return self.c1 * (np.asarray(t1) - np.asarray(t0))
-        return self.c1 / g * (np.exp(g * np.asarray(t1)) - np.exp(g * np.asarray(t0)))
+            return self.c * (np.asarray(t1) - np.asarray(t0))
+        return self.c / g * (np.exp(g * np.asarray(t1)) - np.exp(g * np.asarray(t0)))
 
     def scaled(self, k: float) -> "PremiumSpec":
-        if self.mode == "constant":
-            return PremiumSpec.constant(self.c * k)
-        if self.mode == "exponential_decay":
-            return PremiumSpec.exponential_decay(self.c1 * k, self.gamma_rate)
-        return self
+        return replace(self, c=self.c * k)
 
 
 @dataclass(frozen=True)
@@ -172,9 +130,6 @@ class ModelConfig:
     interarrival_dist: Distribution
     premium: PremiumSpec
     regime: Optional[RegimeSpec] = None
-    mu_lower: float = -math.inf
-    sigma_upper: float = math.inf
-    c_bar: float = 0.0
 
     def __post_init__(self):
         if not self.claim_dist.nonnegative_support:
@@ -183,41 +138,33 @@ class ModelConfig:
             raise DistributionError("inter-arrival times must be positive")
         if self.interarrival_dist.kind == "pareto":
             raise DistributionError("pareto is permitted for claims only")
-        if self.c_bar < 0:
-            raise DistributionError("premium bound c_bar must be >= 0")
-        if self.premium.max_rate > self.c_bar + 1e-12:
-            raise DistributionError("premium rate exceeds the bound c_bar")
-        if self.regime is not None:
-            self._check_regime_bounds()
-
-    def _check_regime_bounds(self):
-        if self.sigma_upper <= 0:
-            raise DistributionError("sigma_upper must be > 0")
-        hs_cap = 0.5 * self.sigma_upper ** 2
-        if self.regime.mode == "constant":
-            mu_min, _, hs_min, hs_max = self.regime.theta.support_box()
-            if mu_min < self.mu_lower - 1e-12:
-                raise DistributionError("coefficient law puts mu below mu_lower")
-            if hs_min < 0 or hs_max > hs_cap + 1e-12:
-                raise DistributionError(
-                    "sigma^2/2 support must lie in [0, sigma_upper^2/2]")
-            if hs_max <= 0:
-                raise DistributionError(
-                    "volatility must be positive with positive probability")
-        else:
+        if self.regime is None:
+            return
+        if self.regime.mode == "piecewise":
             if not self.regime.sigma_law.positive_a_s:
                 raise DistributionError("sigma node law must be positive")
-            if self.regime.sigma_law.support()[1] > self.sigma_upper + 1e-12:
-                raise DistributionError("sigma node law exceeds sigma_upper")
-            mlo, _ = self.regime.mu_law.support()
-            if mlo < self.mu_lower - 1e-12:
-                raise DistributionError("mu node law goes below mu_lower")
+            return
+        _, _, hs_min, hs_max = self.regime.theta.support_box
+        if hs_min < 0:
+            raise DistributionError("sigma^2/2 support must be >= 0")
+        if hs_max <= 0:
+            raise DistributionError(
+                "volatility must be positive with positive probability")
 
     # -- derived quantities --------------------------------------------------
 
     @property
     def has_investment(self) -> bool:
         return self.regime is not None
+
+    def regime_bounds(self) -> Tuple[float, float]:
+        """(mu_lower, sigma_bar^2/2), the tightest bounds mu >= mu_lower and
+        sigma <= sigma_bar on what the regime can draw."""
+        if self.regime.mode == "constant":
+            mu_min, _, _, hs_max = self.regime.theta.support_box
+            return mu_min, hs_max
+        return (self.regime.mu_law.support()[0],
+                0.5 * self.regime.sigma_law.support()[1] ** 2)
 
     def expected_log_drift(self) -> float:
         """E K, the mean integrated drift of log returns over one interval.
@@ -252,4 +199,4 @@ class ModelConfig:
     def scaled(self, k: float) -> "ModelConfig":
         """Monetary rescaling: claims and premium by k; time and regime kept."""
         return replace(self, claim_dist=self.claim_dist.scaled(k),
-                       premium=self.premium.scaled(k), c_bar=self.c_bar * k)
+                       premium=self.premium.scaled(k))

@@ -5,8 +5,8 @@ pairs (M, Q) = (1, claim) / step-multiplier:
 
 * the increasing perpetuity R = sum_k Q_k prod_{i<k} M_i, whose tail bounds
   the ruin probability from above, and
-* the running supremum R_bar of the analogous sums built from the
-  premium-capped increments, which bounds it from below and satisfies the
+* the running supremum R_bar of the analogous sums with the premium held at
+  its bound c_bar = premium.c, which bounds it from below and satisfies the
   max-type fixed point Y = Q_bar + M Y^+ in distribution.
 
 Both run on ``engine.discounted_sup``, the loop that also serves the ruin
@@ -92,12 +92,12 @@ def model_pair_sampler(config: ModelConfig) -> PairSampler:
 def _qbar_pair(kernel: StepKernel, streams: RngStreams, n: int):
     blk = kernel.sample(streams, n, need_exp_integral=True)
     m = np.exp(blk.nu)
-    qbar = (blk.claim - kernel.config.c_bar * blk.exp_integral) * m
+    qbar = (blk.claim - kernel.config.premium.c * blk.exp_integral) * m
     return m, qbar
 
 
 def qbar_pair_sampler(config: ModelConfig) -> PairSampler:
-    """(M, Q_bar) with the premium capped at c_bar, for the lower bound.
+    """(M, Q_bar) with the premium capped at c_bar = premium.c, for the lower bound.
 
     Q_bar = (claim - c_bar * growth integral) * M can take either sign, so
     the associated perpetuity is the running supremum of its partial sums.

@@ -104,7 +104,7 @@ def _chunk(config: ModelConfig, streams: RngStreams, n: int, ms, fine: int,
            u_grid, max_steps: int, barrier_multiple: float):
     """Ruin indicators (copy, u, row) and first-step integrals of one chunk."""
     theta, prem, c = config.regime.theta, config.premium, config.premium.c
-    if prem.mode != "constant" or config.regime.mode != "constant":
+    if prem.gamma_rate != 0.0 or config.regime.mode != "constant":
         raise ValueError("the audit runs constant regimes and premiums")
     drop = barrier_level(0.0, config, barrier_multiple)
     scale = barrier_level(0.0, config, 1.0)

@@ -114,7 +114,7 @@ class EmbeddedStep:
 
     ``lam == exp(-nu)`` exactly and ``nu == -(k_total + z_total)``;
     ``exp_integral`` is the growth integral over the interval, so the
-    premium-capped increment bound is ``c_bar * exp_integral - claim``.
+    premium-capped increment bound is ``premium.c * exp_integral - claim``.
     """
 
     lam: float
@@ -162,7 +162,7 @@ def embedded_step(regime: RegimeDraw, claim: float, premium: PremiumSpec,
     lam = math.exp(-nu)
     e_nodes = np.exp(v)
     exp_integral = float(np.trapezoid(e_nodes, regime.node_times))
-    if premium.is_zero:
+    if premium.c == 0.0:
         premium_integral = 0.0
     else:
         rates = premium.rate(t_start + regime.node_times)

@@ -19,7 +19,6 @@ BETA2 = {
         "premium": {"mode": "constant", "c": 0.1},
         "regime": {"mode": "constant",
                    "theta": {"kind": "point", "mu": 0.06, "half_sigma2": 0.02}},
-        "mu_lower": 0.06, "sigma_upper": 0.2, "c_bar": 0.1,
     },
 }
 
@@ -38,7 +37,6 @@ def test_lundberg_golden_config(tmp_path, capsys):
             "interarrival": {"kind": "exponential", "rate": 1.0},
             "premium": {"mode": "zero"},
             "regime": {"mode": "constant", "theta": {"kind": "zeta", "p": 4}},
-            "mu_lower": 0.0, "sigma_upper": 1.4142135623730951, "c_bar": 0.0,
         },
     })
     assert main(["lundberg", "--config", cfg]) == 0
@@ -139,14 +137,19 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("lundberg", {"method": "monte_carlo"}, "$", "lundberg"),
     ("lundberg", {"mc_samples": 1000}, "$", "lundberg"),
     ("lundberg", {"tol": 1e-10}, "$", "lundberg"),
+    ("model", dict(BETA2["model"], mu_lower=0.06), "$.model", "mu_lower"),
+    ("model", dict(BETA2["model"], sigma_upper=0.2), "$.model", "sigma_upper"),
+    ("model", dict(BETA2["model"], c_bar=0.1), "$.model", "c_bar"),
 ], ids=["validate", "output", "grid_step", "premium_nodes", "method",
-        "mc_samples", "tol"])
+        "mc_samples", "tol", "mu_lower", "sigma_upper", "c_bar"])
 def test_unread_schema_fields_rejected(block, value, path, key):
     # validate.suite, output.format, model.grid_step and ruin.premium_nodes
     # were accepted and never read by the library (or only ever set to the
     # default); lundberg.method and lundberg.mc_samples selected a Monte
     # Carlo root route that no longer exists, and lundberg.tol, the block's
-    # last key, a bisection tolerance that the root finder no longer has
+    # last key, a bisection tolerance that the root finder no longer has;
+    # model.mu_lower, model.sigma_upper and model.c_bar restated bounds that
+    # the model reads off its laws
     with pytest.raises(ConfigError) as err:
         parse_experiment(dict(BETA2, **{block: value}))
     assert err.value.field == path
@@ -158,8 +161,7 @@ def test_hypothesis_violation_exit_code(tmp_path, capsys):
     bad["model"] = dict(BETA2["model"],
                         regime={"mode": "constant",
                                 "theta": {"kind": "point", "mu": 0.01,
-                                          "half_sigma2": 0.02}},
-                        mu_lower=0.01)
+                                          "half_sigma2": 0.02}})
     assert main(["lundberg", "--config", write_cfg(tmp_path, bad)]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "hypothesis_violation"
@@ -171,7 +173,22 @@ def test_ruin_rejects_negative_loading(tmp_path, capsys):
     bad["model"] = dict(BETA2["model"])
     del bad["model"]["regime"]
     bad["model"]["premium"] = {"mode": "constant", "c": 0.5}
-    bad["model"]["c_bar"] = 0.5
+    cfg = write_cfg(tmp_path, bad)
+    assert main(["ruin", "--config", cfg, "--u", "5", "--paths", "1000"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["condition"] == "safety_loading"
+
+
+@pytest.mark.parametrize("premium", [
+    {"mode": "zero"},
+    {"mode": "exponential_decay", "c1": 5.0, "gamma_rate": -0.01},
+], ids=["zero", "exponential_decay"])
+def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
+                                                         premium):
+    # no premium, or one that pays c1 / |gamma_rate| in all, cannot outlast
+    # the claims, so ruin is certain; c1 = 5 beats the mean claim at first
+    bad = dict(BETA2, model=dict(BETA2["model"], premium=premium))
+    del bad["model"]["regime"]
     cfg = write_cfg(tmp_path, bad)
     assert main(["ruin", "--config", cfg, "--u", "5", "--paths", "1000"]) == 3
     doc = json.loads(capsys.readouterr().out)
@@ -227,7 +244,7 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 
 
 PIECEWISE = dict(BETA2, model=dict(
-    BETA2["model"], mu_lower=0.05, sigma_upper=0.25,
+    BETA2["model"],
     regime={"mode": "piecewise", "h": 0.25,
             "mu": {"kind": "uniform", "lo": 0.05, "hi": 0.07},
             "sigma": {"kind": "uniform", "lo": 0.15, "hi": 0.25}}))

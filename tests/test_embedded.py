@@ -13,14 +13,13 @@ def make_cfg(premium=None, tau=None, claim=None):
     return ModelConfig(
         claim_dist=claim or Distribution.exponential(1.0),
         interarrival_dist=tau or Distribution.exponential(1.0),
-        premium=premium or PremiumSpec.constant(0.1),
-        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
-        mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
+        premium=premium or PremiumSpec(0.1),
+        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)))
 
 
 class TestEmbeddedStep:
     def test_zero_premium_gives_minus_claim(self):
-        cfg = make_cfg(premium=PremiumSpec.zero())
+        cfg = make_cfg(premium=PremiumSpec())
         draw = draw_regime(cfg, 1, grid_step=0.01)
         step = embedded_step(draw, 2.5, cfg.premium, 0.0)
         assert step.zeta == -2.5
@@ -38,7 +37,7 @@ class TestEmbeddedStep:
             # constant coefficients: K = (mu - sigma^2/2) tau exactly
             assert step.k_total == pytest.approx(0.04 * draw.tau, rel=1e-9)
             # premium-capped increment bound on the same draw
-            assert step.zeta <= cfg.c_bar * step.exp_integral - 1.0 + 1e-12
+            assert step.zeta <= cfg.premium.c * step.exp_integral - 1.0 + 1e-12
             assert step.zeta >= -1.0
 
     def test_lambda_lognormal_mean_oracle(self):
@@ -66,14 +65,14 @@ class TestEmbeddedStep:
 
 class TestChain:
     def test_ruin_at_step_one_from_zero(self):
-        cfg = make_cfg(premium=PremiumSpec.zero())
+        cfg = make_cfg(premium=PremiumSpec())
         traj = simulate_chain(0.0, cfg, max_steps=10, barrier_multiple=1e3,
                               rng=5, grid_step=0.05)
         assert traj.ruin_index == 1
         assert traj.stopped_reason == "ruin"
 
     def test_zero_claims_never_ruin(self):
-        cfg = make_cfg(premium=PremiumSpec.zero(),
+        cfg = make_cfg(premium=PremiumSpec(),
                        claim=Distribution.deterministic(0.0))
         traj = simulate_chain(5.0, cfg, max_steps=500, barrier_multiple=10.0,
                               rng=6, grid_step=0.05)

@@ -23,7 +23,6 @@ def _bridge_reference(kernel, normals, tau, nu, sigma, t_start):
     through the same numpy loop, so results must agree bit for bit.
     """
     m, prem = kernel.m, kernel.config.premium
-    decay = prem.mode == "exponential_decay"
     sig = np.broadcast_to(sigma, tau.shape)
     exp_integral, premium_int = np.empty(len(tau)), np.empty(len(tau))
     for i, (t, n_i, s_i, t0) in enumerate(zip(tau, nu, sig, t_start)):
@@ -40,9 +39,9 @@ def _bridge_reference(kernel, normals, tau, nu, sigma, t_start):
             acc += e
             prem_acc += e * prem.rate(t * (k / m) + t0)
         exp_integral[i], premium_int[i] = acc * cell, prem_acc * cell
-    if prem.is_zero:
+    if prem.c == 0.0:
         return exp_integral, None
-    if prem.mode == "constant":
+    if prem.gamma_rate == 0.0:
         return exp_integral, prem.c * exp_integral
     return exp_integral, premium_int
 
@@ -53,9 +52,9 @@ THETAS = {
                                ((0.03, 0.005), 0.2)]),
 }
 PREMIUMS = {
-    "zero": PremiumSpec.zero(),
-    "constant": PremiumSpec.constant(0.1),
-    "exponential_decay": PremiumSpec.exponential_decay(0.1, -0.05),
+    "zero": PremiumSpec(),
+    "constant": PremiumSpec(0.1),
+    "exponential_decay": PremiumSpec(0.1, -0.05),
 }
 
 
@@ -63,8 +62,7 @@ def _config(theta, premium):
     return ModelConfig(
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=Distribution.exponential(1.0),
-        premium=premium, regime=RegimeSpec.constant(theta),
-        mu_lower=0.0, sigma_upper=0.5, c_bar=0.1)
+        premium=premium, regime=RegimeSpec.constant(theta))
 
 
 def _inputs(kernel, n, seed):
@@ -240,8 +238,8 @@ def _assert_matches_oracle(cfg, n_rows, calls, t0):
 
 
 @pytest.mark.parametrize("premium, t0", [
-    (PremiumSpec.constant(0.1), 0.0),
-    (PremiumSpec.exponential_decay(0.1, -0.05), 7.5),
+    (PremiumSpec(0.1), 0.0),
+    (PremiumSpec(0.1, -0.05), 7.5),
 ], ids=["constant", "exponential_decay"])
 def test_piecewise_step_matches_scalar_oracle(premium, t0):
     # one row consumes the three streams in the scalar step's order
@@ -253,7 +251,7 @@ def test_piecewise_blocks_match_scalar_oracle_row_by_row():
     # With fixed node values only tau, the increments and the claims are
     # drawn, in the same order for one wide sample as for one row at a
     # time; ~4.5 cells a row put 10,000 rows across three cell blocks.
-    cfg = replace(piecewise_cfg(), premium=PremiumSpec.exponential_decay(
+    cfg = replace(piecewise_cfg(), premium=PremiumSpec(
         0.1, -0.05), regime=RegimeSpec.piecewise(
             0.25, Distribution.deterministic(0.06),
             Distribution.deterministic(0.2)))

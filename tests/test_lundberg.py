@@ -88,19 +88,16 @@ def _touch_value(x: float, y: float, q_tau: float) -> float:
 def zeta_cfg(p):
     return ModelConfig(
         claim_dist=EXP1, interarrival_dist=EXP1,
-        premium=PremiumSpec.zero(),
-        regime=RegimeSpec.constant(zeta_regime_law(p)),
-        mu_lower=0.0, sigma_upper=math.sqrt(2.0), c_bar=0.0)
+        premium=PremiumSpec(),
+        regime=RegimeSpec.constant(zeta_regime_law(p)))
 
 
-def constant_cfg(mu, hs, tau=None, premium=None, c_bar=0.1, sigma_upper=None):
+def constant_cfg(mu, hs, tau=None):
     return ModelConfig(
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=tau or EXP1,
-        premium=premium or PremiumSpec.constant(min(0.1, c_bar)),
-        regime=RegimeSpec.constant(ThetaLaw.point_mass(mu, hs)),
-        mu_lower=mu, sigma_upper=sigma_upper or math.sqrt(2.0 * hs),
-        c_bar=c_bar)
+        premium=PremiumSpec(0.1),
+        regime=RegimeSpec.constant(ThetaLaw.point_mass(mu, hs)))
 
 
 class TestUVector:
@@ -163,9 +160,8 @@ class TestPhiNuAnalytic:
         # agreement between the exact series and Monte Carlo at 10 arguments
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,
-            premium=PremiumSpec.zero(),
-            regime=RegimeSpec.constant(zeta_regime_law(4)),
-            mu_lower=0.0, sigma_upper=math.sqrt(2.0), c_bar=0.0)
+            premium=PremiumSpec(),
+            regime=RegimeSpec.constant(zeta_regime_law(4)))
         nu = sample_nu(cfg, 400_000, 15)
         for q in np.linspace(0.05, 0.9 * GOLDEN, 10):
             exact = phi_nu_analytic(zeta_regime_law(4), EXP1, float(q))
@@ -495,9 +491,8 @@ class TestSolveBeta:
         # p = 2: the endpoint diverges, so a root must exist below q_plus
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,
-            premium=PremiumSpec.zero(),
-            regime=RegimeSpec.constant(zeta_regime_law(2)),
-            mu_lower=0.0, sigma_upper=math.sqrt(2.0), c_bar=0.0)
+            premium=PremiumSpec(),
+            regime=RegimeSpec.constant(zeta_regime_law(2)))
         rep = lundberg_report(cfg)
         assert rep.status == "root"
         assert 0.0 < rep.beta < rep.q_nu
@@ -508,9 +503,8 @@ class TestSolveBeta:
     def test_no_root_for_light_zeta_family(self):
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,
-            premium=PremiumSpec.zero(),
-            regime=RegimeSpec.constant(zeta_regime_law(4)),
-            mu_lower=0.0, sigma_upper=math.sqrt(2.0), c_bar=0.0)
+            premium=PremiumSpec(),
+            regime=RegimeSpec.constant(zeta_regime_law(4)))
         rep = lundberg_report(cfg)
         assert rep.status == "no_root" and rep.beta is None
         assert rep.q_nu == pytest.approx(GOLDEN, abs=1e-12)
@@ -521,15 +515,17 @@ class TestSolveBeta:
         rep = lundberg_report(constant_cfg(0.06, 0.02))
         assert rep.hypothesis_flags == {"claim_moment_ok": True,
                                         "cond_tau_ok": True}
-        # coarse coefficient bounds can break the tail-margin condition
-        rep = lundberg_report(constant_cfg(0.06, 0.02, sigma_upper=1.0))
+        # a short-tailed tau breaks the tail-margin condition: beta = 2 and
+        # q_tau = 0.05 < beta^2 sigma^2 / 2 = 0.08
+        rep = lundberg_report(constant_cfg(
+            0.06, 0.02, tau=Distribution.exponential(0.05)))
+        assert rep.beta == pytest.approx(2.0, rel=1e-12)
         assert rep.hypothesis_flags["cond_tau_ok"] is False
         # heavy claim tails break the moment condition
         cfg = ModelConfig(
             claim_dist=Distribution.pareto(1.5, 1.0), interarrival_dist=EXP1,
-            premium=PremiumSpec.constant(0.1),
-            regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
-            mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
+            premium=PremiumSpec(0.1),
+            regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)))
         rep = lundberg_report(cfg)
         assert rep.hypothesis_flags["claim_moment_ok"] is False
 
@@ -583,8 +579,7 @@ class TestSolveBeta:
         # uniforms, so phi_nu(q_plus) has the closed form of _gap_mean
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=Distribution.gamma(0.5, 2.0),
-            premium=PremiumSpec.zero(), regime=RegimeSpec.constant(UNIF_BOX),
-            mu_lower=0.2, sigma_upper=0.2, c_bar=0.0)
+            premium=PremiumSpec(), regime=RegimeSpec.constant(UNIF_BOX))
         rep = lundberg_report(cfg)
         q = rep.q_nu
         want = _gap_mean(0.05 * q, 0.01 * q * (q + 1.0), 0.5, 2.0)
@@ -596,8 +591,7 @@ class TestSolveBeta:
         law = UNIF_BOX
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,
-            premium=PremiumSpec.zero(), regime=RegimeSpec.constant(law),
-            mu_lower=0.2, sigma_upper=0.2, c_bar=0.0)
+            premium=PremiumSpec(), regime=RegimeSpec.constant(law))
         rep = lundberg_report(cfg)
         assert rep.status == "root"
         assert rep.beta == pytest.approx(12.513458, abs=1e-5)
@@ -611,8 +605,7 @@ class TestSolveBeta:
             [(0.2, 0.01), (0.25, 0.01), (0.25, 0.02), (0.2, 0.02)])
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,
-            premium=PremiumSpec.zero(), regime=RegimeSpec.constant(box),
-            mu_lower=0.2, sigma_upper=0.2, c_bar=0.0)
+            premium=PremiumSpec(), regime=RegimeSpec.constant(box))
         rep = lundberg_report(cfg)
         assert rep.beta == pytest.approx(12.513458, abs=1e-5)
         slope = (phi_nu_analytic(box, EXP1, 1e-10) - 1.0) / 1e-10
@@ -626,6 +619,6 @@ class TestSolveBeta:
 
     def test_no_investment_raises(self):
         cfg = ModelConfig(claim_dist=EXP1, interarrival_dist=EXP1,
-                          premium=PremiumSpec.constant(2.0), c_bar=2.0)
+                          premium=PremiumSpec(2.0))
         with pytest.raises(DistributionError, match="without investment"):
             lundberg_report(cfg)

@@ -6,25 +6,22 @@ import pytest
 from ruinlab import (Distribution, DistributionError, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, RngStreams,
                      ThetaLaw)
+from ruinlab.theta import zeta_regime_law
 from oracles import draw_claim, draw_regime
+from test_ruin import piecewise_cfg
 
 
 def beta2_cfg(**overrides):
     kw = dict(
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=Distribution.exponential(1.0),
-        premium=PremiumSpec.constant(0.1),
-        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
-        mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
+        premium=PremiumSpec(0.1),
+        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)))
     kw.update(overrides)
     return ModelConfig(**kw)
 
 
 class TestValidation:
-    def test_premium_exceeding_bound(self):
-        with pytest.raises(DistributionError):
-            beta2_cfg(premium=PremiumSpec.constant(0.2))
-
     def test_interarrival_must_be_positive(self):
         with pytest.raises(DistributionError):
             beta2_cfg(interarrival_dist=Distribution.deterministic(0.0))
@@ -34,22 +31,40 @@ class TestValidation:
             beta2_cfg(interarrival_dist=Distribution.pareto(3.0, 1.0))
         beta2_cfg(claim_dist=Distribution.pareto(3.0, 1.0))  # allowed
 
-    def test_sigma_bound_enforced(self):
-        with pytest.raises(DistributionError):
-            beta2_cfg(regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.5)),
-                      sigma_upper=0.2)
-
     def test_fully_degenerate_volatility_rejected(self):
         with pytest.raises(DistributionError):
             beta2_cfg(regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.0)))
 
     def test_premium_modes(self):
-        assert PremiumSpec.zero().is_zero
+        assert PremiumSpec().rate(3.0) == 0.0
+        assert PremiumSpec(0.1).integral(1.0, 3.0) == pytest.approx(0.2, rel=1e-12)
         with pytest.raises(DistributionError):
-            PremiumSpec.exponential_decay(1.0, 0.5)  # growth not allowed
-        p = PremiumSpec.exponential_decay(1.0, -0.5)
+            PremiumSpec(1.0, 0.5)  # growth not allowed
+        with pytest.raises(DistributionError):
+            PremiumSpec(-0.1)
+        p = PremiumSpec(1.0, -0.5)
         assert p.integral(0.0, 2.0) == pytest.approx(
             (1.0 / -0.5) * (math.exp(-1.0) - 1.0), rel=1e-12)
+
+
+class TestBounds:
+    """(mu_lower, sigma_bar^2/2) are read off the regime's laws."""
+
+    def test_point_mass(self):
+        assert beta2_cfg().regime_bounds() == (0.06, 0.02)
+
+    def test_zeta_law(self):
+        cfg = beta2_cfg(regime=RegimeSpec.constant(zeta_regime_law(4)))
+        assert cfg.regime_bounds() == (0.0, 1.0)
+
+    def test_uniform_product_box(self):
+        law = ThetaLaw.product(Distribution.uniform(0.1, 0.3),
+                               Distribution.uniform(0.01, 0.05))
+        assert beta2_cfg(regime=RegimeSpec.constant(law)).regime_bounds() == (
+            0.1, 0.05)
+
+    def test_piecewise_node_laws(self):
+        assert piecewise_cfg().regime_bounds() == (0.05, 0.03125)
 
 
 class TestDrift:
@@ -59,15 +74,14 @@ class TestDrift:
         assert beta2_cfg().expected_log_drift() > 0.0
 
     def test_ek_negative_raises_on_demand(self):
-        cfg = beta2_cfg(regime=RegimeSpec.constant(ThetaLaw.point_mass(0.01, 0.02)),
-                        mu_lower=0.01)
+        cfg = beta2_cfg(regime=RegimeSpec.constant(ThetaLaw.point_mass(0.01, 0.02)))
         assert cfg.expected_log_drift() < 0.0
         with pytest.raises(HypothesisViolation) as err:
             cfg.require_positive_drift()
         assert err.value.condition == "mean_drift_positive"
 
     def test_classical_has_no_drift_notion(self):
-        cfg = beta2_cfg(regime=None, premium=PremiumSpec.constant(0.1))
+        cfg = beta2_cfg(regime=None, premium=PremiumSpec(0.1))
         assert cfg.expected_log_drift() == 0.0
         assert cfg.require_positive_drift() is None
 
@@ -105,7 +119,7 @@ class TestDraws:
         s1, s2 = RngStreams.from_seed(5), RngStreams.from_seed(5)
         cfg1 = beta2_cfg()
         cfg2 = beta2_cfg(regime=RegimeSpec.constant(ThetaLaw.finite(
-            [((0.05, 0.01), 0.5), ((0.09, 0.015), 0.5)])), mu_lower=0.05)
+            [((0.05, 0.01), 0.5), ((0.09, 0.015), 0.5)])))
         claims1 = [draw_claim(cfg1, s1) for _ in range(50)]
         for _ in range(50):
             draw_regime(cfg2, s2)
@@ -128,7 +142,6 @@ class TestDraws:
             regime=RegimeSpec.piecewise(
                 0.05, Distribution.uniform(0.03, 0.08),
                 Distribution.uniform(0.1, 0.2)),
-            mu_lower=0.03, sigma_upper=0.2,
             interarrival_dist=Distribution.deterministic(0.5))
         draw = draw_regime(cfg, 11)
         assert draw.n_cells == 10
@@ -141,7 +154,6 @@ class TestScaling:
     def test_monetary_scaling(self):
         cfg = beta2_cfg()
         scaled = cfg.scaled(2.0)
-        assert scaled.c_bar == 0.2
         assert scaled.claim_dist.params[0] == 0.5
         assert scaled.premium.c == 0.2
         # regime and time scales untouched

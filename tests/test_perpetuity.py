@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ def beta2_cfg(c=0.1):
     return ModelConfig(
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=Distribution.exponential(1.0),
-        premium=PremiumSpec.constant(c),
-        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
-        mu_lower=0.06, sigma_upper=0.2, c_bar=c)
+        premium=PremiumSpec(c),
+        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)))
 
 
 GEOM = deterministic_pair_sampler(PerpetuityPair(0.5, 1.0))
@@ -106,6 +106,17 @@ class TestSup:
         from ruinlab import qbar_pair_sampler, RngStreams
         m, q = qbar_pair_sampler(cfg)(RngStreams.from_seed(6), 100_000)
         assert np.mean((m > 1.0) & (q > 0.0)) > 0.0
+
+    def test_qbar_caps_the_premium_at_c(self):
+        # R_bar holds the premium at c_bar = premium.c, decaying or not
+        from ruinlab import qbar_pair_sampler, RngStreams
+        from ruinlab.engine import StepKernel
+        cfg = replace(beta2_cfg(), premium=PremiumSpec(0.1, -0.05))
+        m, q = qbar_pair_sampler(cfg)(RngStreams.from_seed(6), 1000)
+        blk = StepKernel(cfg).sample(RngStreams.from_seed(6), 1000,
+                                     need_exp_integral=True)
+        np.testing.assert_array_equal(m, np.exp(blk.nu))
+        np.testing.assert_array_equal(q, (blk.claim - 0.1 * blk.exp_integral) * m)
 
     def test_rbar_terms_follow_rel_tol(self):
         loose = sample_Rbar_values(beta2_cfg(), 4096, seed=1, rel_tol=1e-4)

@@ -13,26 +13,24 @@ def beta2_cfg():
     return ModelConfig(
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=Distribution.exponential(1.0),
-        premium=PremiumSpec.constant(0.1),
-        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)),
-        mu_lower=0.06, sigma_upper=0.2, c_bar=0.1)
+        premium=PremiumSpec(0.1),
+        regime=RegimeSpec.constant(ThetaLaw.point_mass(0.06, 0.02)))
 
 
 def piecewise_cfg():
     return ModelConfig(
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=Distribution.exponential(1.0),
-        premium=PremiumSpec.constant(0.1),
+        premium=PremiumSpec(0.1),
         regime=RegimeSpec.piecewise(0.25, Distribution.uniform(0.05, 0.07),
-                                    Distribution.uniform(0.15, 0.25)),
-        mu_lower=0.05, sigma_upper=0.25, c_bar=0.1)
+                                    Distribution.uniform(0.15, 0.25)))
 
 
 def classical_cfg(c=2.0):
     return ModelConfig(
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=Distribution.exponential(1.0),
-        premium=PremiumSpec.constant(c), regime=None, c_bar=c)
+        premium=PremiumSpec(c), regime=None)
 
 
 class TestClassicalFormula:
@@ -54,7 +52,7 @@ class TestEstimatePsi:
         cfg = ModelConfig(
             claim_dist=Distribution.deterministic(0.0),
             interarrival_dist=Distribution.exponential(1.0),
-            premium=PremiumSpec.zero(), regime=None, c_bar=0.0)
+            premium=PremiumSpec(), regime=None)
         est = estimate_psi(1.0, cfg, 1000, max_steps=200, seed=0)
         assert est.psi_hat == 0.0
 

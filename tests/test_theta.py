@@ -41,7 +41,7 @@ def test_product_law():
                            Distribution.deterministic(0.02))
     mu, hs = law.sample(np.random.default_rng(2), 1000)
     assert np.all(hs == 0.02)
-    assert law.support_box() == (0.0, 0.1, 0.02, 0.02)
+    assert law.support_box == (0.0, 0.1, 0.02, 0.02)
 
 
 def test_zeta_family_probabilities_and_points():
