@@ -27,7 +27,7 @@ from . import perpetuity as perp
 from .config_schema import load_experiment
 from .errors import ConfigError, HypothesisViolation, RuinlabError
 from .lundberg import lundberg_report
-from .engine import StepKernel
+from .engine import REL_TOL, StepKernel
 from .model import RngStreams
 from .ruin import barrier_level, bounds_check, estimate_psi_grid, fit_tail
 from .validate import run_suite
@@ -143,12 +143,17 @@ def cmd_ruin(args) -> int:
     if n_paths < 100:
         raise ConfigError("need at least 100 paths",
                           "--paths" if args.paths else "$.ruin.n_paths")
+    max_steps = block.get("max_steps", 10_000)
+    barrier_multiple = block.get("barrier_multiple", 1_000.0)
+    if max_steps < 1:
+        raise ConfigError("need at least 1 step", "$.ruin.max_steps")
+    if barrier_multiple <= 0:
+        raise ConfigError("the barrier multiple must be > 0",
+                          "$.ruin.barrier_multiple")
     seed = _resolve_seed(args, exp)
-    ests = estimate_psi_grid(
-        grid, exp.model, n_paths,
-        max_steps=block.get("max_steps", 10_000),
-        barrier_multiple=block.get("barrier_multiple", 1_000.0),
-        seed=seed, workers=args.workers)
+    ests = estimate_psi_grid(grid, exp.model, n_paths, max_steps=max_steps,
+                             barrier_multiple=barrier_multiple, seed=seed,
+                             workers=args.workers)
     base = _out_base(args, exp)
     rows = [[e.u, e.psi_hat, e.ci_halfwidth, e.censored_fraction,
              e.non_finite_fraction] for e in ests]
@@ -186,6 +191,9 @@ def cmd_perpetuity(args) -> int:
         raise ConfigError(
             "need at least 10,000 samples for the KS check",
             "--samples" if args.samples else "$.perpetuity.samples")
+    n_max = block.get("n_max", perp.DEFAULT_N_MAX)
+    if n_max < 1:
+        raise ConfigError("need at least 1 term", "$.perpetuity.n_max")
     seed = _resolve_seed(args, exp)
     cfg = exp.model
     report = lundberg_report(cfg)
@@ -196,8 +204,7 @@ def cmd_perpetuity(args) -> int:
             "perpetuity tail constant is undefined")
     sampler = perp.model_pair_sampler(cfg)
     batch = perp.sample_R_values(sampler, n, seed=seed, workers=args.workers,
-                                 rel_tol=block.get("rel_tol", 1e-12),
-                                 n_max=block.get("n_max", 100_000))
+                                 n_max=n_max)
     vals = batch.converged_values()
     ks = perp.ks_fixed_point(vals[: max(10_000, min(len(vals), 200_000))],
                              sampler, seed + 1)
@@ -206,7 +213,8 @@ def cmd_perpetuity(args) -> int:
     doc = {"beta_used": report.beta, "c_hat": goldie.c_hat,
            "stderr": goldie.stderr, "ks": ks, "tail_slope": slope,
            "n_samples": int(len(vals)), "discard_rate": batch.discard_rate,
-           "non_finite": int(np.count_nonzero(batch.non_finite))}
+           "non_finite": int(np.count_nonzero(batch.non_finite)),
+           "rel_tol": REL_TOL, "mean_terms": float(np.mean(batch.n_terms))}
     _dump_json(doc, _out_base(args, exp))
     print(f"perpetuity: beta={report.beta:.6g} c_hat={goldie.c_hat:.6g} "
           f"ks={ks:.4f}", file=sys.stderr)

@@ -197,7 +197,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     _BLOCK_FIELDS = {
         "ruin": {"u_grid": "list", "n_paths": "int", "max_steps": "int",
                  "barrier_multiple": "number"},
-        "perpetuity": {"samples": "int", "rel_tol": "number", "n_max": "int"},
+        "perpetuity": {"samples": "int", "n_max": "int"},
     }
     for name, fields in _BLOCK_FIELDS.items():
         if name in top:

@@ -58,10 +58,14 @@ from .model import ModelConfig, RngStreams
 
 __all__ = ["StepKernel", "StepBlock", "SupRun", "discounted_sup",
            "run_discounted_sup", "run_chunked", "wilson_halfwidth",
-           "DEFAULT_CHUNK_SIZE", "DEFAULT_PREMIUM_NODES"]
+           "DEFAULT_CHUNK_SIZE", "DEFAULT_PREMIUM_NODES", "REL_TOL"]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 DEFAULT_PREMIUM_NODES = 1
+# Contraction tolerance of the ruin chain and both perpetuities; paired bias
+# audits in the ``ruin`` (chain) and ``perpetuity`` (R, R_bar, c_hat)
+# docstrings.
+REL_TOL = 3e-6
 _BLOCK_FLOATS = 1 << 14           # float64s per piecewise cell block
 
 

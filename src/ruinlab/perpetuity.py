@@ -12,18 +12,36 @@ pairs (M, Q) = (1, claim) / step-multiplier:
 Both run on ``engine.discounted_sup``, the loop that also serves the ruin
 chain: R is its final partial sum, R_bar its running supremum.  A slot
 stops once its running product is below ``rel_tol`` max(1, |sup|); what is
-left is that product times a fresh copy of the perpetuity.  Paired bias of
-R_bar on beta2 (16,384 samples, seed 5): samples above u at the stop minus
-the same samples run on for 2,000 terms (largest product below 1e-19):
+left is that product times a fresh copy of the perpetuity.  The default is
+the chain's tolerance, ``engine.REL_TOL`` = 3e-6, set by a paired audit on
+beta2 (``tests/perpetuity_audit.py``, 24 chunks of 65,536 rows a sampler,
+seed 17): rows above u at the stop minus the same rows run on for 2,000
+terms (largest product left below 2e-13), per 65,536 rows; for c_hat, the
+Goldie constant of R at the stop minus at the reference (1271.8), on the
+same fresh pairs.  The bar is a third of the 1e6-sample standard error:
 
-    rel_tol  terms  u = 10   30   100   300   1000   mean R_bar
-    1e-4     151        -17  -33  -11   -5    -1     -0.18
-    1e-6     266        -1   -1   0     0     0      -1.7e-3
-    1e-12    612        0    0    0     0     0      -1.7e-9
+           eps  terms  u = 10     30    100    300   1000   1280   2560  5120
+    R      1e-4   148   -50.3 -141.5  -43.7   -7.4   -0.8   -0.5   -0.1 -0.04
+           1e-5   205    -5.3  -12.9   -4.7   -0.9   -0.2      0      0     0
+           3e-6   235    -1.5   -3.5   -1.4   -0.3  -0.04      0      0     0
+           1e-6   263    -0.7   -1.0   -0.6  -0.04      0      0      0     0
+           1e-8   378       0      0      0      0      0      0      0     0
+           bar            5.3   10.9    6.3    2.5    0.8    0.6    0.3  0.15
+    R_bar  1e-4   151   -59.2 -120.4  -35.4   -5.5   -0.4   -0.4      0     0
+           1e-5   208    -6.1  -12.9   -3.4   -0.6      0      0      0     0
+           3e-6   238    -1.9   -4.3   -1.1   -0.3      0      0      0     0
+           1e-6   266    -0.5   -1.3   -0.4   -0.1      0      0      0     0
+           1e-8   381       0      0      0      0      0      0      0     0
+           bar            6.2   10.9    5.8    2.2    0.7    0.6    0.3  0.14
+    c_hat  eps = 1e-4 -5.29, 1e-5 -0.54, 3e-6 -0.16, 1e-6 -0.05, 1e-8 0.00;
+           bar 3.58
 
-The ruin module has the same audit for the chain.  The implicit-renewal
-tail constant is estimated by the expectation-ratio formula on paired
-draws.
+3e-6 is the loosest tolerance whose bias stays below the bar everywhere:
+1e-5 misses it at u = 30 for both samplers, 1e-4 at every u up to 300.
+It cuts the terms of a sample from about 610 at 1e-12 to 235 for R and
+238 for R_bar.  The ruin module has the chain's audit of the same
+tolerance.  The implicit-renewal tail constant is estimated by the
+expectation-ratio formula on paired draws.
 """
 
 from __future__ import annotations
@@ -37,7 +55,8 @@ from typing import Callable, Tuple, Union
 import numpy as np
 from scipy import stats
 
-from .engine import DEFAULT_CHUNK_SIZE, StepKernel, run_discounted_sup
+from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel,
+                     run_discounted_sup)
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig, RngStreams, as_streams
 
@@ -50,7 +69,6 @@ __all__ = [
 # A pair sampler returns (multipliers, increments) for a block of slots.
 PairSampler = Callable[[RngStreams, int], Tuple[np.ndarray, np.ndarray]]
 
-DEFAULT_REL_TOL = 1e-12
 DEFAULT_N_MAX = 100_000
 
 
@@ -129,6 +147,8 @@ def _untimed(sampler: PairSampler, streams: RngStreams, t: np.ndarray):
 
 
 def _run(sampler, n_samples, seed, n_max, rel_tol, workers, chunk_size):
+    if n_max < 1 or rel_tol < 0.0:
+        raise ValueError("need n_max >= 1 and rel_tol >= 0")
     _check_contraction(sampler, seed)
     return run_discounted_sup(partial(_untimed, sampler), n_samples, seed,
                               workers, chunk_size, n_max=n_max,
@@ -136,7 +156,7 @@ def _run(sampler, n_samples, seed, n_max, rel_tol, workers, chunk_size):
 
 
 def sample_R_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
-                    n_max: int = DEFAULT_N_MAX, rel_tol: float = DEFAULT_REL_TOL,
+                    n_max: int = DEFAULT_N_MAX, rel_tol: float = REL_TOL,
                     workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
                     ) -> PerpetuityBatch:
     """Sample the increasing perpetuity; values are truncated partial sums.
@@ -153,7 +173,7 @@ def sample_R_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
 
 def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
                       n_max: int = DEFAULT_N_MAX,
-                      rel_tol: float = DEFAULT_REL_TOL, workers: int = 1,
+                      rel_tol: float = REL_TOL, workers: int = 1,
                       chunk_size: int = DEFAULT_CHUNK_SIZE) -> PerpetuityBatch:
     """Running supremum of the partial sums (increments of either sign).
 
@@ -167,7 +187,7 @@ def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
 
 def sample_Rbar_values(config: ModelConfig, n_samples: int, seed: int = 0,
                        n_max: int = DEFAULT_N_MAX,
-                       rel_tol: float = DEFAULT_REL_TOL, workers: int = 1,
+                       rel_tol: float = REL_TOL, workers: int = 1,
                        chunk_size: int = DEFAULT_CHUNK_SIZE
                        ) -> PerpetuityBatch:
     """Supremum perpetuity for the premium-capped lower bound."""

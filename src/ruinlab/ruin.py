@@ -10,7 +10,7 @@ regimes alike, and a monetary rescaling by a power of two reproduces the
 ruin indicators bit for bit.
 
 A path stops once D_n has dropped ``barrier_multiple`` mean claims below
-its supremum (walk drop), or once prod M < PSI_REL_TOL max(|sup| / m, 1),
+its supremum (walk drop), or once prod M < REL_TOL max(|sup| / m, 1),
 m the mean claim (contraction).  The rule reads no reserve, so psi_hat(u)
 does not depend on the rest of the grid.  Paths still running after
 ``max_steps`` with a supremum at most u count as survived and are reported
@@ -29,7 +29,8 @@ run on with the rule off for 1,600 steps (largest product left below 1e-11):
 
 A third of the 1e6-path standard error is 6.2 such paths at u = 10 and
 10.8 at u = 30, so 3e-6 is the loosest of the three whose bias stays below
-it at every u.
+it at every u.  ``engine.REL_TOL`` holds it, and the perpetuity samplers
+stop at the same tolerance.
 """
 
 from __future__ import annotations
@@ -42,17 +43,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import (DEFAULT_CHUNK_SIZE, StepKernel, run_discounted_sup,
-                     wilson_halfwidth)
+from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel,
+                     run_discounted_sup, wilson_halfwidth)
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig
 
 __all__ = ["RuinEstimate", "TailFit", "ClassicalRuin", "estimate_psi",
            "estimate_psi_grid", "classical_psi", "fit_tail", "bounds_check",
            "rw_max_diagnostic", "barrier_level"]
-
-# Contraction tolerance of the chain's stopping rule (bias in the docstring).
-PSI_REL_TOL = 3e-6
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,8 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
     """Coupled ruin-fraction estimates for every reserve level in the grid."""
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
+    if max_steps < 1 or barrier_multiple <= 0.0:
+        raise ValueError("need max_steps >= 1 and barrier_multiple > 0")
     if any(u < 0 for u in u_grid):
         raise ValueError("initial reserves must be >= 0")
     u_grid = tuple(float(u) for u in u_grid)
@@ -128,7 +128,7 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
     run = run_discounted_sup(
         pairs, n_paths, seed, workers, chunk_size, n_max=max_steps,
         drop=barrier_level(0.0, config, barrier_multiple),
-        scale=barrier_level(0.0, config, 1.0), rel_tol=PSI_REL_TOL)
+        scale=barrier_level(0.0, config, 1.0), rel_tol=REL_TOL)
     bad_sup = run.sup[run.non_finite]           # no full-width copy of sup
     unstopped_sup = run.sup[~(run.stopped | run.non_finite)]
     ruined = [np.count_nonzero(run.sup > u) - np.count_nonzero(bad_sup > u)
@@ -241,6 +241,9 @@ def rw_max_diagnostic(config: ModelConfig, u_grid: Sequence[float],
     once it falls ln(barrier_multiple) below its running maximum, and the
     step cap ends the rest.  All thresholds are evaluated on the same walks.
     """
+    if max_steps < 1 or barrier_multiple <= 1.0:
+        raise ValueError("need max_steps >= 1 and barrier_multiple > 1: the "
+                         "walk drops ln(barrier_multiple)")
     config.require_positive_drift()
     if not config.has_investment:
         raise HypothesisViolation(

@@ -34,9 +34,9 @@ import numpy as np
 from scipy import stats
 
 from ruinlab import load_experiment
-from ruinlab.engine import StepKernel
+from ruinlab.engine import REL_TOL, StepKernel
 from ruinlab.model import ModelConfig, RngStreams
-from ruinlab.ruin import PSI_REL_TOL, barrier_level
+from ruinlab.ruin import barrier_level
 
 U_AUDIT = (10.0, 30.0, 100.0, 300.0, 1000.0, 2400.0)
 PER = 1 << 16                  # counts are reported per this many paths
@@ -145,8 +145,7 @@ def _chunk(config: ModelConfig, streams: RngStreams, n: int, ms, fine: int,
         np.maximum(sup, total, out=sup)
         prod *= growth
         stop = sup - total > drop
-        stop |= prod < np.maximum(np.abs(sup) * (PSI_REL_TOL / scale),
-                                  PSI_REL_TOL)
+        stop |= prod < np.maximum(np.abs(sup) * (REL_TOL / scale), REL_TOL)
         stop &= live
         sup_at[stop] = sup[stop]
         live &= ~stop

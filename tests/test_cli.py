@@ -6,7 +6,7 @@ import pytest
 
 from ruinlab import ConfigError, lundberg, parse_experiment
 from ruinlab.cli import main
-from ruinlab.engine import StepKernel
+from ruinlab.engine import REL_TOL, StepKernel
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
 
@@ -140,8 +140,9 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("model", dict(BETA2["model"], mu_lower=0.06), "$.model", "mu_lower"),
     ("model", dict(BETA2["model"], sigma_upper=0.2), "$.model", "sigma_upper"),
     ("model", dict(BETA2["model"], c_bar=0.1), "$.model", "c_bar"),
+    ("perpetuity", {"rel_tol": 1e-12}, "$.perpetuity", "rel_tol"),
 ], ids=["validate", "output", "grid_step", "premium_nodes", "method",
-        "mc_samples", "tol", "mu_lower", "sigma_upper", "c_bar"])
+        "mc_samples", "tol", "mu_lower", "sigma_upper", "c_bar", "rel_tol"])
 def test_unread_schema_fields_rejected(block, value, path, key):
     # validate.suite, output.format, model.grid_step and ruin.premium_nodes
     # were accepted and never read by the library (or only ever set to the
@@ -149,7 +150,8 @@ def test_unread_schema_fields_rejected(block, value, path, key):
     # Carlo root route that no longer exists, and lundberg.tol, the block's
     # last key, a bisection tolerance that the root finder no longer has;
     # model.mu_lower, model.sigma_upper and model.c_bar restated bounds that
-    # the model reads off its laws
+    # the model reads off its laws; perpetuity.rel_tol pinned the samplers
+    # below the audited engine tolerance
     with pytest.raises(ConfigError) as err:
         parse_experiment(dict(BETA2, **{block: value}))
     assert err.value.field == path
@@ -203,7 +205,12 @@ def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
     ({}, ["perpetuity", "--samples", "5000"], "--samples"),
     ({"perpetuity": {"samples": 5000}}, ["perpetuity"],
      "$.perpetuity.samples"),
-], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples"])
+    ({"ruin": {"max_steps": 0}}, ["ruin"], "$.ruin.max_steps"),
+    ({"ruin": {"barrier_multiple": -1.0}}, ["ruin"],
+     "$.ruin.barrier_multiple"),
+    ({"perpetuity": {"n_max": 0}}, ["perpetuity"], "$.perpetuity.n_max"),
+], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples",
+        "max_steps", "barrier_multiple", "n_max"])
 def test_out_of_range_values_exit_2(tmp_path, capsys, extra, argv, field):
     cfg = write_cfg(tmp_path, dict(BETA2, **extra))
     assert main(argv + ["--config", cfg, "--workers", "1"]) == 2
@@ -281,6 +288,9 @@ def test_perpetuity_command(tmp_path, capsys):
     assert doc["ks"] <= 0.05
     assert -2.6 <= doc["tail_slope"] <= -1.0
     assert doc["non_finite"] == 0
+    # every run states its truncation
+    assert doc["rel_tol"] == REL_TOL
+    assert 100 < doc["mean_terms"] < 1000
 
 
 def test_validate_rejects_seed(capsys):

@@ -8,8 +8,10 @@ from ruinlab import (Distribution, EstimationError, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, ThetaLaw,
                      goldie_constant, ks_fixed_point, model_pair_sampler,
                      sample_R_values, sample_Rbar_values, sample_sup_values)
+from ruinlab.engine import REL_TOL
 from oracles import (PerpetuityPair, deterministic_pair_sampler,
                      iid_pair_sampler, sample_R)
+from perpetuity_audit import paired_audit
 
 
 def beta2_cfg(c=0.1):
@@ -60,6 +62,16 @@ class TestIncreasing:
                                 seed=5)
         assert batch.discard_rate == 0.0
         assert abs(batch.values.mean() - 50.0) < 2.0
+
+    @pytest.mark.parametrize("setting", [dict(n_max=0),
+                                         dict(rel_tol=-1e-6)],
+                             ids=["n_max", "rel_tol"])
+    def test_silent_stop_settings_rejected(self, setting):
+        with pytest.raises(ValueError):
+            sample_R_values(model_pair_sampler(beta2_cfg()), 1000, seed=1,
+                            **setting)
+        with pytest.raises(ValueError):
+            sample_Rbar_values(beta2_cfg(), 1000, seed=1, **setting)
 
     def test_divergent_multiplier_rejected(self):
         bad = deterministic_pair_sampler(PerpetuityPair(1.5, 1.0))
@@ -127,9 +139,27 @@ class TestSup:
         # R_bar runs every term through the Brownian bridge, so unlike the
         # ruin counts these floats show any ulp-level drift in the kernel.
         batch = sample_Rbar_values(beta2_cfg(), 2048, seed=3)
-        assert batch.values[0] == 45.60879742050864
-        assert batch.values.sum() == 81467.5963737396
-        assert batch.n_terms.sum() == 1251892
+        assert batch.values[0] == 45.6003508201988
+        assert batch.values.sum() == 81652.13910878537
+        assert batch.n_terms.sum() == 488462
+
+
+def test_default_tolerance_within_a_chunks_bar():
+    # one 16,384-row chunk of tests/perpetuity_audit.py: at the default
+    # tolerance the truncation moves fewer rows above u than a third of the
+    # chunk's own standard error, sqrt(n p (1 - p)) / 3, while 1e-4 moves
+    # more at some u.  (The 1e6-sample bar of the full audit, scaled to one
+    # chunk, is 0.6 rows at u = 300, which a single moved row exceeds.)
+    u_grid = (10.0, 30.0, 100.0, 300.0)
+    audits, _ = paired_audit(beta2_cfg(), 16_384, 1, seed=1,
+                             tols=(1e-4, REL_TOL), u_grid=u_grid)
+    for name, audit in audits.items():
+        p = audit.above_ref / audit.n_rows
+        bar = np.sqrt(audit.n_rows * p * (1.0 - p)) / 3.0
+        loose, default = np.abs(audit.net)
+        assert np.all(default < bar), (name, audit.net, bar)
+        assert np.any(loose >= bar), (name, audit.net, bar)
+        assert audit.largest_prod < 1e-12
 
 
 class TestFixedPoint:

@@ -178,6 +178,25 @@ class TestWalkDiagnostic:
             rw_max_diagnostic(classical_cfg(), [10.0], 1000, seed=9)
 
 
+@pytest.mark.parametrize("setting", [
+    dict(max_steps=0), dict(barrier_multiple=-1.0), dict(barrier_multiple=0.0),
+], ids=["max_steps", "negative_barrier", "zero_barrier"])
+def test_chain_rejects_silent_stop_settings(setting):
+    # a negative barrier stopped every path at once with psi_hat = 0 and
+    # nothing censored; max_steps = 0 read every path as censored
+    with pytest.raises(ValueError):
+        estimate_psi_grid([10.0], beta2_cfg(), 1000, seed=1, **setting)
+
+
+@pytest.mark.parametrize("setting", [
+    dict(max_steps=0), dict(barrier_multiple=1.0), dict(barrier_multiple=0.5),
+], ids=["max_steps", "unit_barrier", "sub_unit_barrier"])
+def test_walk_rejects_silent_stop_settings(setting):
+    # the walk drops ln(barrier_multiple), which is not positive here
+    with pytest.raises(ValueError):
+        rw_max_diagnostic(beta2_cfg(), [10.0], 1000, seed=1, **setting)
+
+
 class TestAsymptoticRegime:
     def test_power_law_emerges_at_large_reserves(self):
         # the decay-exponent prediction is asymptotic; on a grid shifted
