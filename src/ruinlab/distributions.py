@@ -260,7 +260,7 @@ class Distribution:
                 # lognormal and pareto: no positive exponential moments
                 out = np.full(x.shape, math.inf)
                 for i in np.flatnonzero(x < 0):
-                    out[i], _ = self._quad_expectation(float(x[i]))
+                    out[i] = self._quad_expectation(float(x[i]))
         out[x == 0.0] = 1.0
         return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
 
@@ -348,7 +348,7 @@ class Distribution:
 
     # -- internals -----------------------------------------------------------
 
-    def _quad_expectation(self, q: float) -> Tuple[float, bool]:
+    def _quad_expectation(self, q: float) -> float:
         """Adaptive quadrature of E exp(qV) for the heavy-tailed kinds."""
         lo, hi = self.support()
 
@@ -359,12 +359,11 @@ class Distribution:
             warnings.simplefilter("always")
             val, _ = integrate.quad(integrand, lo, hi,
                                     epsabs=_QUAD_ABS_TOL, limit=_QUAD_LIMIT)
-        flagged = any(issubclass(w.category, integrate.IntegrationWarning)
-                      for w in caught)
-        if flagged:
+        if any(issubclass(w.category, integrate.IntegrationWarning)
+               for w in caught):
             warnings.warn("quadrature node cap hit; value is approximate",
                           NumericsWarning, stacklevel=3)
-        return val, flagged
+        return val
 
 
 def _real_power(v: float, p: float) -> float:

@@ -20,11 +20,6 @@ class HypothesisViolation(RuinlabError):
     * ``"mean_drift_positive"``   : the mean log-return of the investment
                                     account over one inter-claim interval is
                                     not strictly positive.
-    * ``"claim_moment"``          : the claim-size moment of the required
-                                    order is infinite.
-    * ``"interarrival_tail_margin"``: the inter-arrival MGF endpoint is too
-                                    small relative to the decay exponent and
-                                    the coefficient bounds.
     * ``"interarrival_endpoint"`` : the inter-arrival law does not have a
                                     finite MGF endpoint with divergent MGF
                                     there, as the tangent-geometry analysis

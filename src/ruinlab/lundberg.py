@@ -26,12 +26,13 @@ support and g(h) = phi_tau(a - h).  The ray <u(q), .> = q_tau sweeps toward
 the support as q grows and first touches it at q_plus; there the gap law
 has a mass exponent at 0, P(H <= h) ~ c h^rho, and E g(H) is finite iff
 rho > k, whatever the support shape.  Below q_plus nothing touches, rho is
-infinite and the expectation is finite.  One function per gap-law kind
-evaluates E g(H), split at a gap delta for ``classify_endpoint``: exact sums
-for finite Theta, ``theta.countable_sum`` (an exact head and an
-Euler-Maclaurin tail) for the zeta series, quadrature in log h of a
-polygon's level density, and nested quadrature of a product law's
-marginals.
+infinite and the expectation is finite.  The zeta series is a countable
+gap law, summed by ``theta.countable_sum`` (an exact head and an
+Euler-Maclaurin tail).  Finite, polygon and product Theta give one other
+kind: atoms plus a density that is linear on spans, with rho read off the
+pieces at H = 0.  Its E g(H) is an exact sum over the atoms plus
+quadrature in log h on each span, split at a gap delta for
+``classify_endpoint``.
 
 Piecewise regimes redraw (mu, sigma) and the Wiener increment independently
 on every cell of width h.  With tau = (n - 1) h + r, r in (0, h], and M_q(w)
@@ -86,27 +87,21 @@ def _inner(q: float, x, y):
 
 @dataclass(frozen=True)
 class HLaw:
-    """Law of the gap H, in whichever form the support shape allows, with
-    its mass exponent ``rho`` at zero: P(H <= h) ~ c h^rho as h -> 0
-    (infinite when no support point touches the level).
+    """Law of the gap H with its mass exponent ``rho`` at zero: P(H <= h) ~
+    c h^rho as h -> 0 (infinite when no support point touches the level).
 
-    ``discrete``: finitely many atoms; ``series``: countable atoms given by
-    vectorized index functions; ``polygon``: the smallest gap plus a part
-    with a density that has kinks at the vertices; ``product``: the laws of
-    the two independent parts of H,
-    h0 + q (mu - mu_min) and q (q + 1) (sigma^2/2_max - sigma^2/2), with h0
-    the gap of the corner (mu_min, sigma^2/2_max).
+    ``pieces``: H = offset + D, where D has ``atoms`` and a density that is
+    linear on each of its ``spans``; ``series``: countable atoms given by
+    vectorized index functions.
     """
 
     kind: str
     rho: float
-    atoms: Optional[tuple] = None          # ((h, prob), ...)
+    atoms: tuple = ()                      # pieces: ((d, prob), ...)
+    spans: tuple = ()                      # pieces: ((d0, d1, f0, f1), ...)
+    offset: float = 0.0                    # pieces: the gap where D = 0
     h_fn: Optional[Callable] = None        # j-array -> h-array (nonincreasing)
     p_fn: Optional[Callable] = None
-    offset: float = 0.0                    # polygon: the smallest gap
-    density: Optional[Callable] = None     # polygon: density of H - offset
-    kinks: tuple = ()                      # polygon: sorted vertex values
-    marginals: tuple = ()                  # product: the two parts of H
 
 
 @dataclass(frozen=True)
@@ -209,23 +204,16 @@ def _build_h_law(theta: ThetaLaw, q: float, a: float, top: float) -> HLaw:
     candidate points.
 
     The ray touches the support when a - top is within the touch tolerance
-    of ``q_plus_compute``, and a touching atom gives rho = 0.  Countable
-    atoms with p_j ~ j^-p and h_j ~ c j^-r give rho = (p - 1)/r, with p and
-    r read off at J and 2J (inf when the gaps do not decay).  A polygon has
-    rho = 2 when one vertex touches and 1 when an edge lies on the level
-    line.  A product box touches at its corner (mu_min, sigma^2/2_max), and
-    each uniform marginal adds 1 to rho (an atom marginal adds 0).  With no
-    touch, rho is inf.
+    of ``q_plus_compute``.  Countable atoms with p_j ~ j^-p and h_j ~ c j^-r
+    give rho = (p - 1)/r, with p and r read off at J and 2J (inf when the
+    gaps do not decay), or 0 when a head atom touches.  Every other law is
+    atoms plus a density linear on spans of D = H - offset: the gaps of a
+    finite Theta's atoms (offset 0), or, with the offset a - top off a touch
+    and 0 on one, a polygon's fan tents (``_polygon_spans``) or a product
+    law's parts (``_product_pieces``), and rho is read off the pieces.
     """
     tol = _TOUCH_TOL * max(1.0, a)
     touch = a - top <= tol
-    if theta.kind == "finite":
-        merged: dict = {}
-        for (x, y), w in theta.atoms:
-            h = a - float(_inner(q, x, y))
-            merged[h] = merged.get(h, 0.0) + w
-        return HLaw("discrete", 0.0 if touch else math.inf,
-                    atoms=tuple(sorted(merged.items())))
     if theta.kind == "countable":
         h_fn = lambda j: a - _inner(q, *theta.point_fn(j))
         if not touch:
@@ -239,40 +227,73 @@ def _build_h_law(theta: ThetaLaw, q: float, a: float, top: float) -> HLaw:
             rho = ((math.log2(p_far[0] / p_far[1]) - 1.0) / decay
                    if decay > 0.0 else math.inf)
         return HLaw("series", rho, h_fn=h_fn, p_fn=theta.prob_fn)
-    if theta.kind == "polytope_uniform":
-        # each vertex's distance d below the top vertex, from coordinate
-        # differences so that it keeps its digits when every gap is near a;
-        # a d within rounding of its two terms puts an edge level with the
-        # top vertex
-        verts = np.asarray(theta.vertices)
-        x, y = verts.T
-        i = int(np.argmax(_inner(q, x, y)))
-        d = _inner(q, x[i] - x, y[i] - y)
-        scale = q * np.abs(x[i] - x) + q * (q + 1.0) * np.abs(y[i] - y)
-        d = np.where(d <= 1e-14 * scale, 0.0, d)
-        n_top = len(d) - np.count_nonzero(d)
-        rho = math.inf if not touch else 2.0 if n_top == 1 else 1.0
-        return HLaw("polygon", rho, offset=0.0 if touch else a - top,
-                    density=_polygon_level_density(verts, d),
-                    kinks=tuple(sorted(set(d.tolist()))))
-    dx, dy = theta.dist_mu, theta.dist_halfsig2
-    marginals = (_from_end(dx, False, q, 0.0 if touch else a - top),
-                 _from_end(dy, True, q * (q + 1.0)))
-    rho = float(sum(d.kind == "uniform" for d in marginals))
-    return HLaw("product", rho if touch else math.inf, marginals=marginals)
+    offset, atoms, spans = 0.0 if touch else a - top, (), ()
+    if theta.kind == "finite":
+        offset = 0.0
+        atoms = tuple((a - float(_inner(q, x, y)), w)
+                      for (x, y), w in theta.atoms)
+    elif theta.kind == "polytope_uniform":
+        spans = _polygon_spans(np.asarray(theta.vertices), q)
+    else:
+        atoms, spans = _product_pieces(theta, q)
+    # rho read off the pieces at H = 0: 0 for an atom at the level, 1 where
+    # the density is positive there and 2 where it rises from 0
+    rho = [0.0 for d, _ in atoms if offset + d <= tol]
+    if offset == 0.0:
+        rho += [1.0 if f0 > 0.0 else 2.0 for d0, _, f0, _ in spans
+                if d0 == 0.0]
+    return HLaw("pieces", min(rho, default=math.inf), atoms=atoms,
+                spans=spans, offset=offset)
 
 
-def _from_end(dist: Distribution, top: bool, scale: float,
-              offset: float = 0.0) -> Distribution:
-    """Law of offset + scale times the distance of X from the low end of its
-    support, or from the high end with ``top``, for the kinds a product box
-    admits."""
-    lo, hi = dist.support()
-    if dist.kind == "uniform":
-        return Distribution.uniform(offset, offset + scale * (hi - lo))
-    return Distribution.discrete(
-        (offset + scale * (hi - v if top else v - lo), w)
-        for v, w in zip(*_atoms(dist)))
+def _polygon_spans(verts: np.ndarray, q: float) -> tuple:
+    """Spans of the density of D, the distance of <u(q), Theta> below the
+    top vertex for Theta uniform on a convex polygon.  The fan of triangles
+    (v_0, v_i, v_i+1) tiles the polygon, and on a triangle of weight w with
+    sorted vertex levels a <= b <= c, D has the tent density rising from 0
+    at a to 2 w/(c - a) at b and falling back to 0 at c."""
+    # each vertex's distance d below the top vertex, from coordinate
+    # differences so that it keeps its digits when every gap is near a;
+    # a d within rounding of its two terms puts an edge level with the
+    # top vertex
+    x, y = verts.T
+    i = int(np.argmax(_inner(q, x, y)))
+    d = _inner(q, x[i] - x, y[i] - y)
+    scale = q * np.abs(x[i] - x) + q * (q + 1.0) * np.abs(y[i] - y)
+    d = np.where(d <= 1e-14 * scale, 0.0, d)
+    x, y = x - x[0], y - y[0]
+    areas = np.abs(x[1:-1] * y[2:] - x[2:] * y[1:-1])
+    spans = []
+    for i, w in enumerate((areas / areas.sum()).tolist(), start=1):
+        a, b, c = sorted(d[[0, i, i + 1]].tolist())
+        if w > 0.0 and a < c:
+            peak = 2.0 * w / (c - a)
+            spans += [(a, b, 0.0, peak), (b, c, peak, 0.0)]
+    return tuple(s for s in spans if s[0] < s[1])
+
+
+def _product_pieces(theta: ThetaLaw, q: float) -> Tuple[tuple, tuple]:
+    """Atoms and spans of D = q (mu - mu_min) + q (q + 1) (hs_max - hs), the
+    distance below the corner (mu_min, sigma^2/2_max), for independent parts
+    that are atoms or uniform: atoms add, an atom shifts a uniform part, and
+    two uniform parts of widths w1 <= w2 give the trapezoid rising to 1/w2
+    at w1, flat up to w2 and falling to 0 at w1 + w2."""
+    parts = []
+    for dist, scale, top in ((theta.dist_mu, q, False),
+                             (theta.dist_halfsig2, q * (q + 1.0), True)):
+        lo, hi = dist.support()
+        parts.append(scale * (hi - lo) if dist.kind == "uniform" else
+                     [(scale * (hi - v if top else v - lo), w)
+                      for v, w in zip(*_atoms(dist))])
+    a, b = parts
+    if isinstance(a, float) and isinstance(b, float):
+        (w1, w2), c = sorted(parts), 1.0 / max(parts)
+        spans = (0.0, w1, 0.0, c), (w1, w2, c, c), (w2, w1 + w2, c, 0.0)
+        return (), tuple(s for s in spans if s[0] < s[1])
+    if isinstance(a, float) or isinstance(b, float):
+        w, atoms = (a, b) if isinstance(a, float) else (b, a)
+        return (), tuple((s, s + w, p / w, p / w) for s, p in atoms)
+    return tuple((s + t, u * v) for s, u in a for t, v in b), ()
 
 
 def _atoms(dist: Distribution) -> tuple:
@@ -284,8 +305,9 @@ def _atoms(dist: Distribution) -> tuple:
 
 def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
     """E phi_tau(<u(q), Theta>) as the gap expectation E g(H_q) that
-    ``classify_endpoint`` takes at q_plus; ``inf`` once the support reaches
-    past the MGF endpoint, or touches it with rho <= k."""
+    ``classify_endpoint`` takes at q_plus, by the same sums and quadrature;
+    ``inf`` once the support reaches past the MGF endpoint, or touches it
+    with rho <= k."""
     if q == 0.0:
         return 1.0
     q_tau = tau_dist.mgf_endpoint().q_max
@@ -302,17 +324,11 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
     return math.fsum(_GAP_PARTS[h_law.kind](h_law, g, math.inf))
 
 
-def _expect_1d(dist: Distribution, f: Callable[[float], float],
-               lo: float = -math.inf, hi: float = math.inf,
-               spike: float = 0.0) -> float:
-    """E[f(X); lo < X <= hi], a density by ``_quad`` with ``spike``."""
+def _expect_1d(dist: Distribution, f: Callable[[float], float]) -> float:
+    """E f(X): atoms summed, a density by ``_quad``."""
     if dist.kind in ("deterministic", "discrete"):
-        return sum(w * f(v) for v, w in zip(*_atoms(dist)) if lo < v <= hi)
-    a, b = dist.support()
-    a, b = max(a, lo), min(b, hi)
-    if a >= b:
-        return 0.0
-    return _quad(lambda x: f(x) * float(dist.pdf(x)), a, b, spike)
+        return sum(w * f(v) for v, w in zip(*_atoms(dist)))
+    return _quad(lambda x: f(x) * float(dist.pdf(x)), *dist.support())
 
 
 def _quad(f: Callable[[float], float], a: float, b: float,
@@ -325,31 +341,6 @@ def _quad(f: Callable[[float], float], a: float, b: float,
             lambda s: f(a + spike * math.expm1(s)) * spike * math.exp(s),
             0.0, math.log1p((b - a) / spike), limit=300)[0]
     return integrate.quad(f, a, b, limit=300)[0]
-
-
-# -- polygon level-set density ---------------------------------------------------
-
-def _polygon_level_density(verts: np.ndarray,
-                           levels: np.ndarray) -> Callable[[float], float]:
-    """Density of a linear functional of Theta uniform on a convex polygon,
-    given the functional's values ``levels`` at the vertices.
-
-    The fan of triangles (v_0, v_i, v_i+1) tiles the polygon, and on a
-    triangle with sorted vertex levels a <= b <= c the functional has the
-    tent density rising from 0 at a to 2/(c - a) at b and falling back to 0
-    at c.
-    """
-    x, y = verts[:, 0] - verts[0, 0], verts[:, 1] - verts[0, 1]
-    areas = np.abs(x[1:-1] * y[2:] - x[2:] * y[1:-1])
-    tents = [(sorted(levels[[0, i, i + 1]].tolist()), w)
-             for i, w in enumerate((areas / areas.sum()).tolist(), start=1)]
-
-    def tent(t: float, a: float, b: float, c: float) -> float:
-        if not a < t < c:
-            return 0.0
-        return 2.0 / (c - a) * ((t - a) / (b - a) if t < b else (c - t) / (c - b))
-
-    return lambda t: sum(w * tent(t, *abc) for abc, w in tents)
 
 
 # -- the gap expectation E g(H), split at H = delta ---------------------------------
@@ -366,54 +357,28 @@ def _series_parts(h_law: HLaw, g, delta):
     return math.fsum(terms[near]), math.fsum(terms[~near])
 
 
-def _discrete_parts(h_law: HLaw, g, delta):
-    h, w = np.array(h_law.atoms).T
-    terms = w * g(h)
-    near = h <= delta
-    return sum(terms[near].tolist(), 0.0), sum(terms[~near].tolist(), 0.0)
+def _pieces_parts(h_law: HLaw, g, delta):
+    """Exact sums over the atoms and ``_quad`` on each span, split at H =
+    delta.  g may spike at h = 0, so the part of a span from D = d with
+    h0 + d > 0, h0 the offset, runs in log h; a smallest gap far below the
+    others then costs no accuracy.  The offset stays apart from the span
+    ends, which keeps its digits when it is far above their widths."""
+    h0, cut = h_law.offset, delta - h_law.offset
+    near, far = [], []
+    if h_law.atoms:
+        d, w = np.array(h_law.atoms).T
+        terms, close = w * g(h0 + d), h0 + d <= delta
+        near, far = terms[close].tolist(), terms[~close].tolist()
+    for d0, d1, f0, f1 in h_law.spans:
+        slope = (f1 - f0) / (d1 - d0)
+        f = lambda x: g(h0 + x) * (f0 + slope * (x - d0))
+        for lo, hi, part in ((d0, min(d1, cut), near), (max(d0, cut), d1, far)):
+            if lo < hi:
+                part.append(_quad(f, lo, hi, spike=h0 + lo))
+    return math.fsum(near), math.fsum(far)
 
 
-def _polygon_parts(h_law: HLaw, g, delta):
-    """Quadrature of g(h0 + d) f(d) over h0 + d <= delta and over the rest,
-    with H = h0 + D, h0 the offset and f the density of D, one span between
-    vertex values of D at a time.  g may spike at h = 0, so a span from
-    d = a with h0 + a > 0 runs in log h; a smallest gap far below the others
-    then costs no accuracy."""
-    h0 = h_law.offset
-    f = lambda d: g(h0 + d) * h_law.density(d)
-
-    def part(lo: float, hi: float) -> float:
-        cuts = [max(lo, 0.0)]
-        cuts += [d for d in h_law.kinks if cuts[0] < d < hi] + [hi]
-        return math.fsum(_quad(f, a, b, spike=h0 + a)
-                         for a, b in zip(cuts, cuts[1:]) if a < b)
-
-    d_max = h_law.kinks[-1]
-    return part(0.0, min(delta - h0, d_max)), part(delta - h0, d_max)
-
-
-def _product_parts(h_law: HLaw, g, delta):
-    """Nested quadrature of the marginals.  H = A + B with A = h0 + q V and
-    B = q (q + 1) W independent (see ``HLaw``), so each level b of B splits
-    the inner expectation over A at one cut.  g(b + A) spikes at distance
-    b + h0 from the low end of A, and the inner expectation, as a function
-    of b, at distance h0 from b = 0; both integrals run in the log of that
-    distance."""
-    da, db = h_law.marginals
-    h0 = da.support()[0]
-
-    def given_b(near: bool, b: float) -> float:
-        f = lambda x: g(b + x)
-        if near:
-            return _expect_1d(da, f, hi=delta - b, spike=b + h0)
-        return _expect_1d(da, f, lo=delta - b)
-
-    return (_expect_1d(db, partial(given_b, True), spike=h0),
-            _expect_1d(db, partial(given_b, False), spike=h0))
-
-
-_GAP_PARTS = {"discrete": _discrete_parts, "series": _series_parts,
-              "polygon": _polygon_parts, "product": _product_parts}
+_GAP_PARTS = {"pieces": _pieces_parts, "series": _series_parts}
 
 
 def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
@@ -428,10 +393,9 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     whatever the support shape.  A finite verdict carries the expectation
     over (0, delta] (``integral_value``) and over H > delta
     (``head_value``); their sum is phi_nu(q_plus).  Both come from the
-    per-kind function that ``phi_nu_analytic`` calls below q_plus: exact
-    sums for finite gap laws, ``countable_sum`` for a series, quadrature in
-    log h of a polygon's level density, nested quadrature of a product
-    law's marginals.
+    routine that ``phi_nu_analytic`` calls below q_plus: ``countable_sum``
+    for a series, and for every other law exact sums over the atoms plus
+    quadrature in log h on each span.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")

@@ -40,12 +40,15 @@ UNIF_BOX = ThetaLaw.product(Distribution.uniform(0.2, 0.25),
                             Distribution.uniform(0.01, 0.02))
 POINT_UNIF_BOX = ThetaLaw.product(Distribution.deterministic(0.2),
                                   Distribution.uniform(0.01, 0.02))
+TWO_MU = Distribution.discrete([(0.2, 0.5), (0.22, 0.5)])
+ATOMS_UNIF_BOX = ThetaLaw.product(TWO_MU, Distribution.uniform(0.01, 0.02))
 # the mass-exponent table: each law's gap exponent rho at q_plus, and the
 # pole orders k of the Gamma(k, 1) inter-arrival laws it is paired with
 MASS_LAWS = [(ROTATED_SQUARE, 1.0), (SQUARE, 2.0), (TRIANGLE, 2.0),
-             (UNIF_BOX, 2.0), (POINT_UNIF_BOX, 1.0)]
+             (UNIF_BOX, 2.0), (POINT_UNIF_BOX, 1.0), (ATOMS_UNIF_BOX, 1.0)]
 MASS_IDS = ["rotated_edge", "square_vertex", "triangle_vertex",
-            "uniform_x_uniform", "deterministic_x_uniform"]
+            "uniform_x_uniform", "deterministic_x_uniform",
+            "discrete_x_uniform"]
 MASS_K = [0.5, 1.0, 1.5, 2.0, 2.5]
 
 
@@ -69,6 +72,15 @@ def _gap_mean(a: float, b: float, k: float, scale: float,
         g2 = lambda h: h ** (2.0 - k) / ((1.0 - k) * (2.0 - k))
     return scale ** -k * (g2(h0 + a + b) - g2(h0 + a) - g2(h0 + b)
                           + g2(h0)) / (a * b)
+
+
+def _shifted_gap_mean(atoms, b: float, k: float, scale: float) -> float:
+    """E (scale H)^-k for H = A + B, A on the atoms ((a_i, w_i), ...) and
+    B ~ U[0, b] independent, k < 1: sum_i w_i (G(a_i + b) - G(a_i))/b with
+    G' = g."""
+    big_g = lambda h: h ** (1.0 - k) / (1.0 - k)
+    return scale ** -k * sum(w * (big_g(a + b) - big_g(a))
+                             for a, w in atoms) / b
 
 
 def _touch_value(x: float, y: float, q_tau: float) -> float:
@@ -402,33 +414,58 @@ class TestTheorem2:
         assert phi_nu_analytic(law, _gamma_tau(k), q) == pytest.approx(
             want, rel=1e-9)
 
-    @pytest.mark.parametrize("law, rho, widths, k, rate", [
-        (ROTATED_SQUARE, 1.0, lambda q: (0.0, math.hypot(q, q * (q + 1.0))),
-         0.9, 1.0),
-        (SQUARE, 2.0, lambda q: (q, q * (q + 1.0)), 1.9, 1.0),
-        (SQUARE, 2.0, lambda q: (q, q * (q + 1.0)), 1.0, 5e4),
-        (SQUARE, 2.0, lambda q: (q, q * (q + 1.0)), 1.0, 5e6),
-        (UNIF_BOX, 2.0, lambda q: (0.05 * q, 0.01 * q * (q + 1.0)), 1.9, 1.0),
-        (POINT_UNIF_BOX, 1.0, lambda q: (0.0, 0.01 * q * (q + 1.0)), 0.9, 1.0)],
+    @pytest.mark.parametrize("law, rho, mean, k, rate", [
+        (ROTATED_SQUARE, 1.0, lambda q, k, s: _gap_mean(
+            0.0, math.hypot(q, q * (q + 1.0)), k, s), 0.9, 1.0),
+        (SQUARE, 2.0, lambda q, k, s: _gap_mean(q, q * (q + 1.0), k, s),
+         1.9, 1.0),
+        (SQUARE, 2.0, lambda q, k, s: _gap_mean(q, q * (q + 1.0), k, s),
+         1.0, 5e4),
+        (SQUARE, 2.0, lambda q, k, s: _gap_mean(q, q * (q + 1.0), k, s),
+         1.0, 5e6),
+        (UNIF_BOX, 2.0, lambda q, k, s: _gap_mean(
+            0.05 * q, 0.01 * q * (q + 1.0), k, s), 1.9, 1.0),
+        (POINT_UNIF_BOX, 1.0, lambda q, k, s: _gap_mean(
+            0.0, 0.01 * q * (q + 1.0), k, s), 0.9, 1.0),
+        (ATOMS_UNIF_BOX, 1.0, lambda q, k, s: _shifted_gap_mean(
+            [(0.0, 0.5), (0.02 * q, 0.5)], 0.01 * q * (q + 1.0), k, s),
+         0.9, 1.0)],
         ids=["rotated_edge", "square_vertex", "square_rate_5e4",
-             "square_rate_5e6", "uniform_x_uniform", "deterministic_x_uniform"])
-    def test_endpoint_value_against_closed_form(self, law, rho, widths, k,
+             "square_rate_5e6", "uniform_x_uniform", "deterministic_x_uniform",
+             "discrete_x_uniform"])
+    def test_endpoint_value_against_closed_form(self, law, rho, mean, k,
                                                 rate):
-        # H is uniform or a sum of two uniforms on each of these laws.  With
-        # rho - k = 0.1 a gap below 1e-10 still carries a tenth of the
-        # integral.  At rates 5e4 and 5e6 the touching vertex's gap is
-        # rounding noise of +7e-12 and +9e-10, which must still count as a
-        # touch
+        # H is uniform, a sum of two uniforms or atoms plus a uniform on
+        # each of these laws.  With rho - k = 0.1 a gap below 1e-10 still
+        # carries a tenth of the integral.  At rates 5e4 and 5e6 the
+        # touching vertex's gap is rounding noise of +7e-12 and +9e-10,
+        # which must still count as a touch
         tau = (Distribution.exponential(rate) if k == 1.0
                else Distribution.gamma(k, 1.0 / rate))
         geom = q_plus_compute(law, rate)
         assert geom.h_law.rho == rho
         verdict = classify_endpoint(geom, tau, delta=rate / 2.0)
         assert verdict.verdict == "endpoint_finite"
-        want = _gap_mean(*widths(geom.q_plus), k, 1.0 / rate)
-        assert endpoint_phi_value(verdict) == pytest.approx(want, rel=1e-7)
+        want = mean(geom.q_plus, k, 1.0 / rate)
+        assert endpoint_phi_value(verdict) == pytest.approx(want, rel=1e-12)
         assert phi_nu_analytic(law, tau, geom.q_plus) == pytest.approx(
             want, rel=1e-12)
+
+    def test_discrete_product_matches_finite_law(self):
+        # atoms times atoms is a finite law: the corner atom touches, so
+        # rho = 0 and the endpoint diverges, and below q_plus the product
+        # sums the same four atoms as the law written out
+        hs = Distribution.discrete([(0.01, 0.5), (0.02, 0.5)])
+        law = ThetaLaw.product(TWO_MU, hs)
+        finite = ThetaLaw.finite([((x, y), 0.25) for x in (0.2, 0.22)
+                                  for y in (0.01, 0.02)])
+        geom = q_plus_compute(law, 1.0)
+        assert geom.h_law.rho == 0.0
+        assert geom.q_plus == q_plus_compute(finite, 1.0).q_plus
+        assert phi_nu_analytic(law, EXP1, geom.q_plus) == math.inf
+        for q in geom.q_plus * np.array([0.1, 0.5, 0.9, 1.0 - 1e-6]):
+            assert phi_nu_analytic(law, EXP1, float(q)) == pytest.approx(
+                phi_nu_analytic(finite, EXP1, float(q)), rel=1e-12)
 
     def test_series_without_gap_decay(self):
         # every atom at one point: a touching head atom gives rho = 0; atoms
