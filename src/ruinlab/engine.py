@@ -56,7 +56,7 @@ import numpy as np
 
 from .model import ModelConfig, RngStreams
 
-__all__ = ["StepKernel", "StepBlock", "SupRun", "discounted_sup",
+__all__ = ["StepKernel", "StepBlock", "SupRun", "chain_pairs", "discounted_sup",
            "run_discounted_sup", "run_chunked", "wilson_halfwidth",
            "DEFAULT_CHUNK_SIZE", "DEFAULT_PREMIUM_NODES", "REL_TOL"]
 
@@ -117,9 +117,12 @@ class StepKernel:
             need_claim and self._premium_mode != "zero")
         exp_integral = premium_int = None
         if not self.investment:
-            nu = np.zeros(n)
-            exp_integral = tau
-            premium_int = self._classical_premium(tau, t_start, n)
+            nu, exp_integral = np.zeros(n), tau
+            if self._premium_mode == "constant":
+                premium_int = cfg.premium.c * tau
+            elif self._premium_mode == "exponential_decay":
+                t0 = 0.0 if t_start is None else t_start
+                premium_int = cfg.premium.integral(t0, t0 + tau)
         elif self._piecewise:
             nu, exp_integral, premium_int = self._cell_steps(
                 streams, tau, t_start, want_integrals)
@@ -143,14 +146,6 @@ class StepKernel:
             zeta = -claim if premium_int is None else premium_int - claim
         return StepBlock(tau=tau, nu=nu, claim=claim, zeta=zeta,
                          exp_integral=exp_integral if need_exp_integral else None)
-
-    def _classical_premium(self, tau, t_start, n):
-        prem = self.config.premium
-        if self._premium_mode == "zero":
-            return None
-        if t_start is None:
-            t_start = np.zeros(n)
-        return prem.integral(t_start, t_start + tau)
 
     def _cell_steps(self, streams, tau, t_start, want_integrals):
         """nu and the growth and premium integrals over piecewise cells.
@@ -245,6 +240,19 @@ class StepKernel:
         elif self._premium_mode == "constant":
             premium_int = prem.c * exp_integral
         return exp_integral, premium_int
+
+
+def chain_pairs(kernel: StepKernel, streams: RngStreams, t: np.ndarray):
+    """(M, Q, tau) = (1/lam, -zeta/lam, tau) of the ruin chain for the rows
+    whose clocks are ``t``.  M is None without investment, and tau is None
+    unless the premium decays, the only step that reads the clock."""
+    blk = kernel.sample(streams, len(t), t_start=t)
+    q = np.negative(blk.zeta, out=blk.zeta)
+    tau = blk.tau if kernel._premium_mode == "exponential_decay" else None
+    if kernel.investment:
+        m = np.exp(blk.nu, out=blk.nu)
+        return m, np.multiply(q, m, out=q), tau
+    return None, q, tau
 
 
 # -- the discounted-supremum loop ------------------------------------------------

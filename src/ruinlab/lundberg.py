@@ -31,8 +31,8 @@ gap law, summed by ``theta.countable_sum`` (an exact head and an
 Euler-Maclaurin tail).  Finite, polygon and product Theta give one other
 kind: atoms plus a density that is linear on spans, with rho read off the
 pieces at H = 0.  Its E g(H) is an exact sum over the atoms plus
-quadrature in log h on each span, split at a gap delta for
-``classify_endpoint``.
+quadrature in log h on each span.  ``phi_nu_analytic`` and
+``classify_endpoint`` take it by the same routine, ``_gap_mean``.
 
 Piecewise regimes redraw (mu, sigma) and the Wiener increment independently
 on every cell of width h.  With tau = (n - 1) h + r, r in (0, h], and M_q(w)
@@ -117,8 +117,7 @@ class TangentGeometry:
 @dataclass(frozen=True)
 class EndpointVerdict:
     verdict: str                 # "endpoint_infinite" | "endpoint_finite"
-    integral_value: float        # the (0, delta] integral; inf when divergent
-    head_value: float = 0.0      # the integral over H > delta
+    integral_value: float        # phi_nu(q_plus); inf when divergent
     inconclusive: bool = False   # always False; kept for readers of the field
 
 
@@ -304,10 +303,9 @@ def _atoms(dist: Distribution) -> tuple:
 # -- analytic phi_nu -------------------------------------------------------------
 
 def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
-    """E phi_tau(<u(q), Theta>) as the gap expectation E g(H_q) that
-    ``classify_endpoint`` takes at q_plus, by the same sums and quadrature;
-    ``inf`` once the support reaches past the MGF endpoint, or touches it
-    with rho <= k."""
+    """E phi_tau(<u(q), Theta>) as the gap expectation E g(H_q) of
+    ``_gap_mean``; ``inf`` once the support reaches past the MGF endpoint,
+    or touches it with rho <= k."""
     if q == 0.0:
         return 1.0
     q_tau = tau_dist.mgf_endpoint().q_max
@@ -321,7 +319,7 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
     if pole and h_law.rho <= _endpoint_pole(tau_dist)[0] + _DECAY_TOL:
         return math.inf
     g = _pole_fn(tau_dist) if pole else lambda h: tau_dist.mgf(a - h)
-    return math.fsum(_GAP_PARTS[h_law.kind](h_law, g, math.inf))
+    return _gap_mean(h_law, g)
 
 
 def _expect_1d(dist: Distribution, f: Callable[[float], float]) -> float:
@@ -343,62 +341,39 @@ def _quad(f: Callable[[float], float], a: float, b: float,
     return integrate.quad(f, a, b, limit=300)[0]
 
 
-# -- the gap expectation E g(H), split at H = delta ---------------------------------
+# -- the gap expectation E g(H) ------------------------------------------------------
 
-def _series_parts(h_law: HLaw, g, delta):
-    """``countable_sum`` of the terms; the tail atoms gap below h_J <= delta."""
-    terms = countable_sum(lambda j: h_law.p_fn(j) * g(h_law.h_fn(j)))
-    if delta == math.inf:
-        return math.fsum(terms), 0.0
-    h = h_law.h_fn(np.arange(1.0, SERIES_HEAD + 1.0))
-    if delta < h[-1]:
-        raise ValueError(f"delta is below the series gap h_J = {h[-1]:.3g}")
-    near = np.append(h[:-1] <= delta, True)
-    return math.fsum(terms[near]), math.fsum(terms[~near])
-
-
-def _pieces_parts(h_law: HLaw, g, delta):
-    """Exact sums over the atoms and ``_quad`` on each span, split at H =
-    delta.  g may spike at h = 0, so the part of a span from D = d with
-    h0 + d > 0, h0 the offset, runs in log h; a smallest gap far below the
-    others then costs no accuracy.  The offset stays apart from the span
-    ends, which keeps its digits when it is far above their widths."""
-    h0, cut = h_law.offset, delta - h_law.offset
-    near, far = [], []
+def _gap_mean(h_law: HLaw, g: Callable) -> float:
+    """E g(H): ``countable_sum`` of a series' terms, or exact sums over the
+    atoms plus ``_quad`` on each span, in log h from h0 + d0 (h0 the
+    offset), where g may spike.  The offset stays apart from the span ends,
+    which keeps its digits when it is far above their widths."""
+    if h_law.kind == "series":
+        return math.fsum(countable_sum(
+            lambda j: h_law.p_fn(j) * g(h_law.h_fn(j))))
+    h0, parts = h_law.offset, []
     if h_law.atoms:
         d, w = np.array(h_law.atoms).T
-        terms, close = w * g(h0 + d), h0 + d <= delta
-        near, far = terms[close].tolist(), terms[~close].tolist()
+        parts = (w * g(h0 + d)).tolist()
     for d0, d1, f0, f1 in h_law.spans:
         slope = (f1 - f0) / (d1 - d0)
         f = lambda x: g(h0 + x) * (f0 + slope * (x - d0))
-        for lo, hi, part in ((d0, min(d1, cut), near), (max(d0, cut), d1, far)):
-            if lo < hi:
-                part.append(_quad(f, lo, hi, spike=h0 + lo))
-    return math.fsum(near), math.fsum(far)
-
-
-_GAP_PARTS = {"pieces": _pieces_parts, "series": _series_parts}
+        parts.append(_quad(f, d0, d1, spike=h0 + d0))
+    return math.fsum(parts)
 
 
 def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
-                      delta: float) -> EndpointVerdict:
-    """The gap expectation E g(H) of ``phi_nu_analytic`` at q_plus, in one
-    pass.
+                      delta: Optional[float] = None) -> EndpointVerdict:
+    """The gap expectation E g(H) of ``phi_nu_analytic`` at q_plus.
 
     The verdict says whether it diverges at H = 0, which is whether the
     step-multiplier transform blows up at its own endpoint and in turn
     guarantees that the decay exponent exists.  With P(H <= h) ~ c h^rho
     and g(h) = (s h)^-k, it diverges iff rho <= k (up to ``_DECAY_TOL``),
-    whatever the support shape.  A finite verdict carries the expectation
-    over (0, delta] (``integral_value``) and over H > delta
-    (``head_value``); their sum is phi_nu(q_plus).  Both come from the
-    routine that ``phi_nu_analytic`` calls below q_plus: ``countable_sum``
-    for a series, and for every other law exact sums over the atoms plus
-    quadrature in log h on each span.
+    whatever the support shape.  ``integral_value`` is phi_nu(q_plus) by
+    ``_gap_mean``, bit for bit what ``phi_nu_analytic`` returns; ``delta``
+    is ignored (old callers pass it).
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
     endpoint = tau_dist.mgf_endpoint()
     if not math.isfinite(endpoint.q_max) or endpoint.finite_at_endpoint:
         raise HypothesisViolation(
@@ -408,8 +383,8 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     h_law = geometry.h_law
     if h_law.rho <= _endpoint_pole(tau_dist)[0] + _DECAY_TOL:
         return EndpointVerdict("endpoint_infinite", math.inf)
-    near, head = _GAP_PARTS[h_law.kind](h_law, _pole_fn(tau_dist), delta)
-    return EndpointVerdict("endpoint_finite", near, head)
+    return EndpointVerdict("endpoint_finite",
+                           _gap_mean(h_law, _pole_fn(tau_dist)))
 
 
 def _endpoint_pole(tau_dist) -> Tuple[float, float]:
@@ -431,9 +406,7 @@ def _pole_fn(tau_dist) -> Callable:
 
 def endpoint_phi_value(verdict: EndpointVerdict) -> float:
     """phi_nu at its endpoint q_plus (may be inf), read off the verdict."""
-    if verdict.verdict == "endpoint_infinite":
-        return math.inf
-    return verdict.head_value + verdict.integral_value
+    return verdict.integral_value
 
 
 # -- piecewise regimes ---------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Stochastic perpetuities, their distributional fixed points, and tail constants.
 
-The ruin bounds rest on two perpetuity-type variables built from the step
-pairs (M, Q) = (1, claim) / step-multiplier:
+The ruin bounds rest on two perpetuities of the ruin chain's pairs (M, Q) =
+(1/lam, -zeta/lam), drawn by ``engine.chain_pairs`` under another premium:
 
-* the increasing perpetuity R = sum_k Q_k prod_{i<k} M_i, whose tail bounds
-  the ruin probability from above, and
-* the running supremum R_bar of the analogous sums with the premium held at
-  its bound c_bar = premium.c, which bounds it from below and satisfies the
-  max-type fixed point Y = Q_bar + M Y^+ in distribution.
+* the increasing perpetuity R = sum_k Q_k prod_{i<k} M_i of the chain at
+  premium 0 (Q = claim M), whose tail bounds the ruin probability from
+  above, and
+* the running supremum R_bar of the same sums with the premium held at its
+  bound c_bar = premium.c (Q = (claim - c_bar growth integral) M), which
+  bounds it from below and satisfies Y = Q + M Y^+ in distribution.
 
 Both run on ``engine.discounted_sup``, the loop that also serves the ruin
 chain: R is its final partial sum, R_bar its running supremum.  A slot
@@ -48,17 +49,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Tuple, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import stats
 
-from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel,
+from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel, chain_pairs,
                      run_discounted_sup)
 from .errors import EstimationError, HypothesisViolation
-from .model import ModelConfig, RngStreams, as_streams
+from .model import ModelConfig, PremiumSpec, RngStreams, as_streams
 
 __all__ = [
     "PerpetuityBatch", "GoldieEstimate", "model_pair_sampler",
@@ -66,8 +67,10 @@ __all__ = [
     "sample_sup_values", "ks_fixed_point", "goldie_constant",
 ]
 
-# A pair sampler returns (multipliers, increments) for a block of slots.
-PairSampler = Callable[[RngStreams, int], Tuple[np.ndarray, np.ndarray]]
+# A pair sampler draws (M, Q, tau) for the slots whose clocks are t, as
+# ``engine.chain_pairs`` does: M None when every multiplier is 1, tau None
+# when no step reads the clock.
+PairSampler = Callable[[RngStreams, np.ndarray], tuple]
 
 DEFAULT_N_MAX = 100_000
 
@@ -96,36 +99,35 @@ class GoldieEstimate:
 
 # -- pair samplers ---------------------------------------------------------------
 
-def _model_pair(kernel: StepKernel, streams: RngStreams, n: int):
-    m = np.exp(kernel.sample(streams, n, need_claim=False).nu)
-    xi = np.atleast_1d(kernel.config.claim_dist.sample(streams.claims, n))
-    return m, xi * m
-
-
 def model_pair_sampler(config: ModelConfig) -> PairSampler:
-    """(M, Q) = (1, claim) / step-multiplier for the upper-bound perpetuity."""
-    return partial(_model_pair, StepKernel(config))
-
-
-def _qbar_pair(kernel: StepKernel, streams: RngStreams, n: int):
-    blk = kernel.sample(streams, n, need_exp_integral=True)
-    m = np.exp(blk.nu)
-    qbar = (blk.claim - kernel.config.premium.c * blk.exp_integral) * m
-    return m, qbar
+    """The chain's pairs at premium 0, (M, claim M), for the upper-bound
+    perpetuity R."""
+    return partial(chain_pairs,
+                   StepKernel(replace(config, premium=PremiumSpec())))
 
 
 def qbar_pair_sampler(config: ModelConfig) -> PairSampler:
-    """(M, Q_bar) with the premium capped at c_bar = premium.c, for the lower bound.
-
-    Q_bar = (claim - c_bar * growth integral) * M can take either sign, so
-    the associated perpetuity is the running supremum of its partial sums.
+    """The chain's pairs with the premium held at c_bar = premium.c, (M,
+    Q_bar) with Q_bar = (claim - c_bar * growth integral) * M, for the lower
+    bound.  Q_bar can take either sign, so the associated perpetuity is the
+    running supremum of its partial sums.
     """
-    return partial(_qbar_pair, StepKernel(config))
+    return partial(chain_pairs, StepKernel(
+        replace(config, premium=PremiumSpec(config.premium.c))))
+
+
+def _fresh_pairs(sampler: PairSampler, streams: RngStreams, n: int):
+    """(M, Q) for n slots at time 0."""
+    m, q, _ = sampler(streams, np.zeros(n))
+    if m is None:
+        raise HypothesisViolation("mean_drift_positive", "every multiplier "
+                                  "is 1 without investment")
+    return m, q
 
 
 def _check_contraction(sampler: PairSampler, seed: int, n: int = 20_000):
     streams = RngStreams.from_seed(seed, chunk=1 << 30)
-    m, q = sampler(streams, n)
+    m, q = _fresh_pairs(sampler, streams, n)
     logs = np.log(m)
     mean, se = float(np.mean(logs)), float(np.std(logs, ddof=1) / math.sqrt(n))
     if mean + 3.0 * se >= 0.0:
@@ -141,18 +143,15 @@ def _check_contraction(sampler: PairSampler, seed: int, n: int = 20_000):
 
 # -- lockstep samplers ------------------------------------------------------------
 
-def _untimed(sampler: PairSampler, streams: RngStreams, t: np.ndarray):
-    m, q = sampler(streams, len(t))
-    return m, q, None
-
-
-def _run(sampler, n_samples, seed, n_max, rel_tol, workers, chunk_size):
+def _run(read, sampler, n_samples, seed, n_max, rel_tol, workers, chunk_size):
+    """Each slot's ``read`` field of the loop: its final sum or supremum."""
     if n_max < 1 or rel_tol < 0.0:
         raise ValueError("need n_max >= 1 and rel_tol >= 0")
     _check_contraction(sampler, seed)
-    return run_discounted_sup(partial(_untimed, sampler), n_samples, seed,
-                              workers, chunk_size, n_max=n_max,
-                              rel_tol=rel_tol)
+    run = run_discounted_sup(sampler, n_samples, seed, workers, chunk_size,
+                             n_max=n_max, rel_tol=rel_tol)
+    return PerpetuityBatch(getattr(run, read), run.n_terms,
+                           run.stopped & ~run.non_finite, run.non_finite)
 
 
 def sample_R_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
@@ -165,10 +164,8 @@ def sample_R_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
     what is left is that product times an independent copy of the
     perpetuity, negligible against sampling noise.
     """
-    run = _run(pair_sampler, n_samples, seed, n_max, rel_tol, workers,
-               chunk_size)
-    return PerpetuityBatch(run.total, run.n_terms,
-                           run.stopped & ~run.non_finite, run.non_finite)
+    return _run("total", pair_sampler, n_samples, seed, n_max, rel_tol,
+                workers, chunk_size)
 
 
 def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
@@ -179,10 +176,8 @@ def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
 
     A slot stops once its running product is below ``rel_tol`` max(1, |sup|).
     """
-    run = _run(pair_sampler, n_samples, seed, n_max, rel_tol, workers,
-               chunk_size)
-    return PerpetuityBatch(run.sup, run.n_terms,
-                           run.stopped & ~run.non_finite, run.non_finite)
+    return _run("sup", pair_sampler, n_samples, seed, n_max, rel_tol,
+                workers, chunk_size)
 
 
 def sample_Rbar_values(config: ModelConfig, n_samples: int, seed: int = 0,
@@ -191,9 +186,8 @@ def sample_Rbar_values(config: ModelConfig, n_samples: int, seed: int = 0,
                        chunk_size: int = DEFAULT_CHUNK_SIZE
                        ) -> PerpetuityBatch:
     """Supremum perpetuity for the premium-capped lower bound."""
-    return sample_sup_values(qbar_pair_sampler(config),
-                             n_samples, seed, n_max, rel_tol, workers,
-                             chunk_size)
+    return sample_sup_values(qbar_pair_sampler(config), n_samples, seed,
+                             n_max, rel_tol, workers, chunk_size)
 
 
 # -- fixed point and tail constant --------------------------------------------------
@@ -211,7 +205,7 @@ def ks_fixed_point(values_R: np.ndarray, pair_sampler: PairSampler,
     if n < 10_000:
         raise ValueError("fixed-point check needs at least 1e4 samples")
     streams = as_streams(rng)
-    m, q = pair_sampler(streams, n)
+    m, q = _fresh_pairs(pair_sampler, streams, n)
     perm = streams.regime.permutation(n)
     rhs = q + m * values_R[perm]
     return float(stats.ks_2samp(values_R, rhs).statistic)
@@ -232,7 +226,7 @@ def goldie_constant(values_Z: np.ndarray, pair_sampler: PairSampler,
     if n < n_batches * 10:
         raise ValueError("too few samples for batch-means error bars")
     streams = as_streams(rng)
-    a, b = pair_sampler(streams, n)
+    a, b = _fresh_pairs(pair_sampler, streams, n)
     if np.any(a <= 0):
         raise EstimationError("multipliers must be positive")
     perm = streams.regime.permutation(n)

@@ -43,7 +43,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel,
+from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel, chain_pairs,
                      run_discounted_sup, wilson_halfwidth)
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig
@@ -101,16 +101,6 @@ def barrier_level(u: float, config: ModelConfig, barrier_multiple: float) -> flo
     return barrier_multiple * max(u, floor)
 
 
-def _chain_pairs(kernel, streams, t):
-    """(M, Q, tau) = (1/lam, -zeta/lam, tau) from the vectorized kernel."""
-    blk = kernel.sample(streams, len(t), t_start=t)
-    q = np.negative(blk.zeta, out=blk.zeta)
-    if not kernel.investment:            # M = 1
-        return None, q, blk.tau
-    m = np.exp(blk.nu, out=blk.nu)
-    return m, np.multiply(q, m, out=q), blk.tau
-
-
 def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
                       n_paths: int, max_steps: int = 10_000,
                       barrier_multiple: float = 1_000.0, seed: int = 0,
@@ -124,7 +114,7 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
     if any(u < 0 for u in u_grid):
         raise ValueError("initial reserves must be >= 0")
     u_grid = tuple(float(u) for u in u_grid)
-    pairs = partial(_chain_pairs, StepKernel(config))
+    pairs = partial(chain_pairs, StepKernel(config))
     run = run_discounted_sup(
         pairs, n_paths, seed, workers, chunk_size, n_max=max_steps,
         drop=barrier_level(0.0, config, barrier_multiple),

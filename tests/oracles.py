@@ -35,7 +35,7 @@ from ruinlab.engine import discounted_sup
 from ruinlab.errors import DistributionError
 from ruinlab.lundberg import sample_nu
 from ruinlab.model import ModelConfig, PremiumSpec, RngStreams, as_streams
-from ruinlab.perpetuity import PairSampler, _untimed
+from ruinlab.perpetuity import PairSampler
 from ruinlab.ruin import barrier_level
 
 DEFAULT_GRID_STEP = 1e-3
@@ -313,8 +313,8 @@ class PerpetuitySample:
     converged: bool
 
 
-def _const_pair(a: float, b: float, streams: RngStreams, n: int):
-    return np.full(n, a), np.full(n, b)
+def _const_pair(a: float, b: float, streams: RngStreams, t: np.ndarray):
+    return np.full(len(t), a), np.full(len(t), b), None
 
 
 def deterministic_pair_sampler(pair: PerpetuityPair) -> PairSampler:
@@ -322,10 +322,10 @@ def deterministic_pair_sampler(pair: PerpetuityPair) -> PairSampler:
 
 
 def _iid_pair(m_dist: Distribution, q_dist: Distribution,
-              streams: RngStreams, n: int):
-    m = np.atleast_1d(m_dist.sample(streams.regime, n))
-    q = np.atleast_1d(q_dist.sample(streams.claims, n))
-    return m, q
+              streams: RngStreams, t: np.ndarray):
+    m = np.atleast_1d(m_dist.sample(streams.regime, len(t)))
+    q = np.atleast_1d(q_dist.sample(streams.claims, len(t)))
+    return m, q, None
 
 
 def iid_pair_sampler(m_dist: Distribution, q_dist: Distribution) -> PairSampler:
@@ -336,8 +336,7 @@ def iid_pair_sampler(m_dist: Distribution, q_dist: Distribution) -> PairSampler:
 def sample_R(pair_sampler: PairSampler, n_max: int, rel_tol: float,
              rng: Union[int, RngStreams]) -> PerpetuitySample:
     """Single draw of the increasing perpetuity."""
-    run = discounted_sup(as_streams(rng), 1,
-                         pairs=partial(_untimed, pair_sampler), n_max=n_max,
+    run = discounted_sup(as_streams(rng), 1, pairs=pair_sampler, n_max=n_max,
                          rel_tol=rel_tol)
     return PerpetuitySample(float(run.total[0]), int(run.n_terms[0]),
                             bool(run.stopped[0]))

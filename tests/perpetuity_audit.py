@@ -89,9 +89,9 @@ def _chunk(streams, n: int, *, sampler, tols):
     lim = np.asarray(tols, dtype=float)[:, None]
     at = np.empty((len(tols) + 1, n))
     terms = np.full((len(tols), n), N_REF, dtype=np.int64)
-    live = np.ones((len(tols), n), dtype=bool)
+    live, t = np.ones((len(tols), n), dtype=bool), np.zeros(n)
     for k in range(1, N_REF + 1):
-        m, q = sampler(streams, n)
+        m, q, _ = sampler(streams, t)
         total += prod * q
         np.maximum(sup, total, out=sup)
         prod *= m

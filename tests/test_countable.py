@@ -43,13 +43,9 @@ def phi_exact(p, q, a=None):
     return _s(p - 1, c) / ((1 - a) * mp.zeta(p))
 
 
-def endpoint_exact(p, k=1, delta=None):
-    """zeta(p - k) / ((1 + q_plus)^k zeta(p)); with ``delta`` only the atoms
-    with gap B/j <= delta."""
-    b = 1 + Q_PLUS
-    head = 0 if delta is None else mp.fsum(
-        mp.mpf(j) ** (k - p) for j in range(1, int(mp.ceil(b / delta))))
-    return (mp.zeta(p - k) - head) / (b ** k * mp.zeta(p))
+def endpoint_exact(p, k=1):
+    """zeta(p - k) / ((1 + q_plus)^k zeta(p))."""
+    return mp.zeta(p - k) / ((1 + Q_PLUS) ** k * mp.zeta(p))
 
 
 def rel(x, ref):
@@ -93,12 +89,10 @@ def test_phi_nu_p2_near_q_plus_is_conditioned_by_the_last_bit_of_a():
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_endpoint_value_and_near_part(p):
     verdict = classify_endpoint(q_plus_compute(zeta_regime_law(p), 1.0),
-                                EXP1, delta=0.5)
+                                EXP1)
     assert verdict.verdict == "endpoint_finite"
     assert not verdict.inconclusive
-    assert rel(verdict.head_value + verdict.integral_value,
-               endpoint_exact(p)) <= 1e-12
-    assert rel(verdict.integral_value, endpoint_exact(p, delta=0.5)) <= 1e-12
+    assert rel(verdict.integral_value, endpoint_exact(p)) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -112,16 +106,13 @@ def test_zeta_mean(p):
 def test_gamma_interarrivals_shift_the_dichotomy():
     # Gamma(2, 1) has a pole of order 2, so the terms decay like j^(2 - p)
     geom = q_plus_compute(zeta_regime_law(3), 1.0)
-    verdict = classify_endpoint(geom, GAMMA2, delta=0.5)
+    verdict = classify_endpoint(geom, GAMMA2)
     assert verdict.verdict == "endpoint_infinite"
     assert not verdict.inconclusive
     geom = q_plus_compute(zeta_regime_law(4), 1.0)
-    verdict = classify_endpoint(geom, GAMMA2, delta=0.5)
+    verdict = classify_endpoint(geom, GAMMA2)
     assert verdict.verdict == "endpoint_finite"
-    assert rel(verdict.head_value + verdict.integral_value,
-               endpoint_exact(4, k=2)) <= 1e-12
-    assert rel(verdict.integral_value,
-               endpoint_exact(4, k=2, delta=0.5)) <= 1e-12
+    assert rel(verdict.integral_value, endpoint_exact(4, k=2)) <= 1e-12
 
 
 def test_zeta_dichotomy_and_root():
@@ -134,12 +125,6 @@ def test_zeta_dichotomy_and_root():
     beta = mp.findroot(lambda q: phi_exact(2, q) - 1, 0.4088)
     assert abs(rep.beta - beta) <= 1e-14
     assert abs(beta - mp.mpf("0.408809892850221")) <= 1e-15
-
-
-def test_series_delta_must_cover_the_tail():
-    geom = q_plus_compute(zeta_regime_law(3), 1.0)
-    with pytest.raises(ValueError):
-        classify_endpoint(geom, EXP1, delta=1e-3)
 
 
 def test_countable_sum_on_plain_series():

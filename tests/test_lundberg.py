@@ -281,8 +281,6 @@ class TestZetaPinned:
 
     PHI_END = {2: math.inf, 3: 0.8457379678887159, 4: 0.6864049476390953,
                5: 0.645090790490696}
-    INTEGRAL = {2: math.inf, 3: 0.14592673023375832,
-                4: 0.022852357519992077, 5: 0.004456803218611201}
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_report_and_endpoint(self, p):
@@ -293,8 +291,7 @@ class TestZetaPinned:
         geom = q_plus_compute(zeta_regime_law(p), 1.0)
         assert geom.q_plus == 0.6180339887498949
         assert geom.touching_points == ((0.0, 1.0),)
-        verdict = classify_endpoint(geom, EXP1, delta=0.5)
-        assert verdict.integral_value == self.INTEGRAL[p]
+        assert classify_endpoint(geom, EXP1).integral_value == self.PHI_END[p]
 
     # phi_nu at q = 0.1, 0.3, 0.5
     PHI = {2: (0.9634586688427536, 0.9526672381786289, 1.110480172720022),
@@ -314,20 +311,20 @@ class TestTheorem2:
         for p, want in ((2, "endpoint_infinite"), (3, "endpoint_finite"),
                         (4, "endpoint_finite"), (5, "endpoint_finite")):
             geom = q_plus_compute(zeta_regime_law(p), 1.0)
-            verdict = classify_endpoint(geom, EXP1, delta=0.5)
+            verdict = classify_endpoint(geom, EXP1)
             assert verdict.verdict == want, p
             assert not verdict.inconclusive
 
     def test_atom_at_zero_is_infinite(self):
         geom = q_plus_compute(ThetaLaw.point_mass(0.0, 1.0), 1.0)
-        verdict = classify_endpoint(geom, EXP1, delta=0.25)
+        verdict = classify_endpoint(geom, EXP1)
         assert verdict.verdict == "endpoint_infinite"
         assert verdict.integral_value == math.inf
 
     def test_square_touching_at_vertex_is_finite(self):
         geom = q_plus_compute(ThetaLaw.polytope_uniform(
             [(0, 0), (1, 0), (0, 1), (1, 1)]), 1.0)
-        verdict = classify_endpoint(geom, EXP1, delta=0.3)
+        verdict = classify_endpoint(geom, EXP1)
         assert verdict.verdict == "endpoint_finite"
 
     def test_rotated_square_edge_on_ray_is_infinite(self):
@@ -335,14 +332,14 @@ class TestTheorem2:
         # endpoint diverges
         geom = q_plus_compute(ROTATED_SQUARE, 1.0)
         assert geom.q_plus == pytest.approx(GOLDEN, rel=1e-9)
-        verdict = classify_endpoint(geom, EXP1, delta=0.3)
+        verdict = classify_endpoint(geom, EXP1)
         assert verdict.verdict == "endpoint_infinite"
 
     def test_gamma2_triangle_vertex_touch_is_infinite(self):
         # a vertex touch puts mass ~ h^2 below gap h, and Gamma(2) has a
         # double pole, so the gap integral diverges logarithmically
         geom = q_plus_compute(TRIANGLE, 1.0)
-        verdict = classify_endpoint(geom, GAMMA2, delta=0.5)
+        verdict = classify_endpoint(geom, GAMMA2)
         assert verdict.verdict == "endpoint_infinite"
         assert not verdict.inconclusive
         assert endpoint_phi_value(verdict) == math.inf
@@ -352,7 +349,7 @@ class TestTheorem2:
                              ids=["square", "triangle"])
     def test_polygon_endpoint_value_matches_quadrature(self, law, want):
         geom = q_plus_compute(law, 1.0)
-        verdict = classify_endpoint(geom, EXP1, delta=0.5)
+        verdict = classify_endpoint(geom, EXP1)
         assert verdict.verdict == "endpoint_finite"
         assert not verdict.inconclusive
         below = phi_nu_analytic(law, EXP1, geom.q_plus * (1.0 - 1e-6))
@@ -367,7 +364,7 @@ class TestTheorem2:
         tau = _gamma_tau(k)
         geom = q_plus_compute(law, 1.0)
         assert geom.h_law.rho == rho
-        verdict = classify_endpoint(geom, tau, delta=0.5)
+        verdict = classify_endpoint(geom, tau)
         assert not verdict.inconclusive
         if rho <= k:
             assert verdict.verdict == "endpoint_infinite"
@@ -444,12 +441,25 @@ class TestTheorem2:
                else Distribution.gamma(k, 1.0 / rate))
         geom = q_plus_compute(law, rate)
         assert geom.h_law.rho == rho
-        verdict = classify_endpoint(geom, tau, delta=rate / 2.0)
+        verdict = classify_endpoint(geom, tau)
         assert verdict.verdict == "endpoint_finite"
         want = mean(geom.q_plus, k, 1.0 / rate)
         assert endpoint_phi_value(verdict) == pytest.approx(want, rel=1e-12)
         assert phi_nu_analytic(law, tau, geom.q_plus) == pytest.approx(
             want, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [EXP1, _gamma_tau(0.5), GAMMA2],
+                             ids=["exp1", "gamma0.5", "gamma2"])
+    @pytest.mark.parametrize("law", [
+        zeta_regime_law(3), zeta_regime_law(4), zeta_regime_law(5), SQUARE,
+        UNIF_BOX, POINT_UNIF_BOX],
+        ids=["zeta3", "zeta4", "zeta5", "square", "uniform_x_uniform",
+             "deterministic_x_uniform"])
+    def test_verdict_value_is_phi_nu_at_q_plus(self, law, tau):
+        # one gap expectation serves both, so the bits agree, inf included
+        geom = q_plus_compute(law, 1.0)
+        assert (classify_endpoint(geom, tau).integral_value
+                == phi_nu_analytic(law, tau, geom.q_plus))
 
     def test_discrete_product_matches_finite_law(self):
         # atoms times atoms is a finite law: the corner atom touches, so
@@ -479,7 +489,7 @@ class TestTheorem2:
             geom = q_plus_compute(law, 1.0)
             assert geom.q_plus == pytest.approx(1.0, rel=1e-12)
             assert geom.h_law.rho == rho
-            value = endpoint_phi_value(classify_endpoint(geom, EXP1, delta=0.5))
+            value = endpoint_phi_value(classify_endpoint(geom, EXP1))
             assert value == (math.inf if rho == 0.0 else pytest.approx(2.0))
 
     def test_series_head_atom_touches_above_limit_point(self):
@@ -496,7 +506,7 @@ class TestTheorem2:
     def test_requires_divergent_endpoint(self):
         geom = q_plus_compute(ThetaLaw.point_mass(0.0, 1.0), 1.0)
         with pytest.raises(HypothesisViolation) as err:
-            classify_endpoint(geom, Distribution.deterministic(1.0), delta=0.5)
+            classify_endpoint(geom, Distribution.deterministic(1.0))
         assert err.value.condition == "interarrival_endpoint"
 
 

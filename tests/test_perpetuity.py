@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from ruinlab import (Distribution, EstimationError, HypothesisViolation,
-                     ModelConfig, PremiumSpec, RegimeSpec, ThetaLaw,
-                     goldie_constant, ks_fixed_point, model_pair_sampler,
-                     sample_R_values, sample_Rbar_values, sample_sup_values)
-from ruinlab.engine import REL_TOL
+                     ModelConfig, PremiumSpec, RegimeSpec, RngStreams,
+                     ThetaLaw, goldie_constant, ks_fixed_point,
+                     model_pair_sampler, qbar_pair_sampler, sample_R_values,
+                     sample_Rbar_values, sample_sup_values)
+from ruinlab.engine import REL_TOL, StepKernel
+from ruinlab.validate import classical_config
 from oracles import (PerpetuityPair, deterministic_pair_sampler,
                      iid_pair_sampler, sample_R)
 from perpetuity_audit import paired_audit
+from test_ruin import piecewise_cfg
 
 
 def beta2_cfg(c=0.1):
@@ -23,6 +26,14 @@ def beta2_cfg(c=0.1):
 
 
 GEOM = deterministic_pair_sampler(PerpetuityPair(0.5, 1.0))
+# R and R_bar are the ruin chain at premium 0 and at c_bar on each of these
+CHAIN_CFGS = {
+    "beta2": beta2_cfg(),
+    "decaying_premium": replace(beta2_cfg(), premium=PremiumSpec(0.1, -0.05)),
+    "two_atom_theta": replace(beta2_cfg(), regime=RegimeSpec.constant(
+        ThetaLaw.finite([((0.06, 0.02), 0.5), ((0.08, 0.03), 0.5)]))),
+    "piecewise": piecewise_cfg(),
+}
 
 
 class TestIncreasing:
@@ -40,12 +51,12 @@ class TestIncreasing:
         base = model_pair_sampler(beta2_cfg())
         calls = []
 
-        def sampler(streams, n):
-            m, q = base(streams, n)
-            calls.append(n)
+        def sampler(streams, t):
+            m, q, tau = base(streams, t)
+            calls.append(len(t))
             if len(calls) == 3:          # call 1 is the contraction pilot
                 q[0] = np.nan
-            return m, q
+            return m, q, tau
         batch = sample_R_values(sampler, 1000, seed=2)
         assert batch.non_finite.tolist() == [True] + [False] * 999
         assert not batch.converged[0] and batch.converged[1:].all()
@@ -78,6 +89,25 @@ class TestIncreasing:
         with pytest.raises(HypothesisViolation) as err:
             sample_R_values(bad, 1000, seed=1)
         assert err.value.condition == "mean_drift_positive"
+
+    @pytest.mark.parametrize("sample", [
+        lambda cfg: sample_R_values(model_pair_sampler(cfg), 1000, seed=1),
+        lambda cfg: sample_Rbar_values(cfg, 1000, seed=1)],
+        ids=["R", "R_bar"])
+    def test_chain_without_investment_rejected(self, sample):
+        # every multiplier is 1, so neither perpetuity converges
+        with pytest.raises(HypothesisViolation) as err:
+            sample(classical_config())
+        assert err.value.condition == "mean_drift_positive"
+
+    @pytest.mark.parametrize("sample", [
+        lambda cfg, **kw: sample_R_values(model_pair_sampler(cfg), **kw),
+        sample_Rbar_values], ids=["R", "R_bar"])
+    def test_worker_count_leaves_the_bits(self, sample):
+        one, two = (sample(beta2_cfg(), n_samples=3 * 4096, seed=5,
+                           workers=w, chunk_size=4096) for w in (1, 2))
+        np.testing.assert_array_equal(one.values, two.values)
+        np.testing.assert_array_equal(one.n_terms, two.n_terms)
 
 
 class TestSup:
@@ -114,21 +144,27 @@ class TestSup:
 
     def test_multiplier_above_one_with_positive_increment_occurs(self):
         # the lower-bound machinery needs P(M > 1, Qbar > 0) > 0
-        cfg = beta2_cfg()
-        from ruinlab import qbar_pair_sampler, RngStreams
-        m, q = qbar_pair_sampler(cfg)(RngStreams.from_seed(6), 100_000)
+        m, q, _ = qbar_pair_sampler(beta2_cfg())(RngStreams.from_seed(6),
+                                                 np.zeros(100_000))
         assert np.mean((m > 1.0) & (q > 0.0)) > 0.0
 
-    def test_qbar_caps_the_premium_at_c(self):
-        # R_bar holds the premium at c_bar = premium.c, decaying or not
-        from ruinlab import qbar_pair_sampler, RngStreams
-        from ruinlab.engine import StepKernel
-        cfg = replace(beta2_cfg(), premium=PremiumSpec(0.1, -0.05))
-        m, q = qbar_pair_sampler(cfg)(RngStreams.from_seed(6), 1000)
+    @pytest.mark.parametrize("cfg", list(CHAIN_CFGS.values()),
+                             ids=list(CHAIN_CFGS))
+    def test_qbar_caps_the_premium_at_c(self, cfg):
+        # R is the chain at premium 0 and R_bar the chain with the premium
+        # held at c_bar = premium.c, decaying or not: both read one draw
         blk = StepKernel(cfg).sample(RngStreams.from_seed(6), 1000,
                                      need_exp_integral=True)
-        np.testing.assert_array_equal(m, np.exp(blk.nu))
-        np.testing.assert_array_equal(q, (blk.claim - 0.1 * blk.exp_integral) * m)
+        m = np.exp(blk.nu)
+        want = {model_pair_sampler: blk.claim * m,
+                qbar_pair_sampler: (blk.claim
+                                    - cfg.premium.c * blk.exp_integral) * m}
+        for factory, q_want in want.items():
+            got_m, got_q, tau = factory(cfg)(RngStreams.from_seed(6),
+                                             np.zeros(1000))
+            np.testing.assert_array_equal(got_m, m)
+            np.testing.assert_array_equal(got_q, q_want)
+            assert tau is None          # neither chain reads a clock
 
     def test_rbar_terms_follow_rel_tol(self):
         loose = sample_Rbar_values(beta2_cfg(), 4096, seed=1, rel_tol=1e-4)

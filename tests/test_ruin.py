@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import ruinlab.engine as engine
 import ruinlab.ruin as ruin
 from ruinlab import (Distribution, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, RuinEstimate,
@@ -215,7 +216,7 @@ def test_non_finite_path_is_counted_apart(monkeypatch):
     # a NaN increment stops its path, which reads as neither ruined nor
     # censored nor survived but as non-finite
     clean = ruin.estimate_psi_grid([10.0, 30.0], beta2_cfg(), 1000, seed=1)
-    real = ruin._chain_pairs
+    real = engine.chain_pairs
     calls = []
 
     def pairs(kernel, streams, t):
@@ -224,7 +225,7 @@ def test_non_finite_path_is_counted_apart(monkeypatch):
         if len(calls) == 3:
             q[0] = math.nan
         return m, q, tau
-    monkeypatch.setattr(ruin, "_chain_pairs", pairs)
+    monkeypatch.setattr(ruin, "chain_pairs", pairs)
     hit = ruin.estimate_psi_grid([10.0, 30.0], beta2_cfg(), 1000, seed=1)
     assert [e.non_finite_fraction for e in clean] == [0.0, 0.0]
     assert [e.non_finite_fraction for e in hit] == [1e-3, 1e-3]
