@@ -14,8 +14,8 @@ from .perpetuity import (GoldieEstimate, PerpetuityBatch, goldie_constant,
                          sample_R_values, sample_Rbar_values,
                          sample_sup_values)
 from .ruin import (BoundsCheck, ClassicalRuin, RuinEstimate, TailFit,
-                   bounds_check, classical_psi, estimate_psi,
-                   estimate_psi_grid, fit_tail, rw_max_diagnostic)
+                   bounds_check, classical_psi, estimate_psi_grid,
+                   fit_tail, rw_max_diagnostic)
 from .config_schema import ExperimentConfig, load_experiment, parse_experiment
 
 __version__ = "0.1.0"

@@ -58,7 +58,7 @@ from .model import ModelConfig, RngStreams
 
 __all__ = ["StepKernel", "StepBlock", "SupRun", "chain_pairs", "discounted_sup",
            "run_discounted_sup", "run_chunked", "wilson_halfwidth",
-           "DEFAULT_CHUNK_SIZE", "DEFAULT_PREMIUM_NODES", "REL_TOL"]
+           "DEFAULT_CHUNK_SIZE", "DEFAULT_PREMIUM_NODES", "REL_TOL", "Z_95"]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 DEFAULT_PREMIUM_NODES = 1
@@ -66,6 +66,7 @@ DEFAULT_PREMIUM_NODES = 1
 # audits in the ``ruin`` (chain) and ``perpetuity`` (R, R_bar, c_hat)
 # docstrings.
 REL_TOL = 3e-6
+Z_95 = 1.959963984540054          # two-sided 95% standard normal quantile
 _BLOCK_FLOATS = 1 << 14           # float64s per piecewise cell block
 
 
@@ -365,12 +366,11 @@ def run_chunked(fn: Callable, total: int, seed: int, workers: int = 1,
         return list(pool.map(_run_one_chunk, tasks))
 
 
-def wilson_halfwidth(successes: int, n: int, z: float = 1.959963984540054
-                     ) -> float:
+def wilson_halfwidth(successes: int, n: int) -> float:
     """Half-width of the 95% Wilson score interval for a binomial fraction."""
     if n == 0:
         return 1.0
-    p = successes / n
+    p, z = successes / n, Z_95
     denom = 1.0 + z * z / n
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     return half

@@ -169,9 +169,9 @@ def q_plus_compute(theta: ThetaLaw, q_tau: float) -> TangentGeometry:
     """First parameter at which the ray <u(q), .> = q_tau meets the support.
 
     The functional is linear in theta, so its maximum over the support sits
-    at the candidate points (atoms plus declared limit points, polygon
-    vertices, or product-box corners), and the first touch is the smallest
-    candidate touch value.
+    at the candidate points (finite atoms, a countable law's head atoms and
+    declared limit points, polygon vertices, or product-box corners), and
+    the first touch is the smallest candidate touch value.
     """
     if not (math.isfinite(q_tau) and q_tau > 0):
         raise HypothesisViolation(

@@ -73,6 +73,7 @@ __all__ = [
 PairSampler = Callable[[RngStreams, np.ndarray], tuple]
 
 DEFAULT_N_MAX = 100_000
+GOLDIE_BATCHES = 100             # batch means behind goldie_constant's stderr
 
 
 @dataclass
@@ -212,8 +213,8 @@ def ks_fixed_point(values_R: np.ndarray, pair_sampler: PairSampler,
 
 
 def goldie_constant(values_Z: np.ndarray, pair_sampler: PairSampler,
-                    alpha: float, rng: Union[int, RngStreams],
-                    n_batches: int = 100) -> GoldieEstimate:
+                    alpha: float, rng: Union[int, RngStreams]
+                    ) -> GoldieEstimate:
     """Implicit-renewal tail constant via the expectation-ratio formula.
 
     c_hat estimates E[((B + A Z)^+)^alpha - ((A Z^+))^alpha] divided by
@@ -223,7 +224,7 @@ def goldie_constant(values_Z: np.ndarray, pair_sampler: PairSampler,
     """
     values_Z = np.asarray(values_Z)
     n = len(values_Z)
-    if n < n_batches * 10:
+    if n < GOLDIE_BATCHES * 10:
         raise ValueError("too few samples for batch-means error bars")
     streams = as_streams(rng)
     a, b = _fresh_pairs(pair_sampler, streams, n)
@@ -249,9 +250,9 @@ def goldie_constant(values_Z: np.ndarray, pair_sampler: PairSampler,
             "from 0")
     c_hat = float(np.mean(num)) / (alpha * den_mean)
     # batch means on the ratio
-    nb = (n // n_batches) * n_batches
-    num_b = num[:nb].reshape(n_batches, -1).mean(axis=1)
-    den_b = den[:nb].reshape(n_batches, -1).mean(axis=1)
+    nb = (n // GOLDIE_BATCHES) * GOLDIE_BATCHES
+    num_b = num[:nb].reshape(GOLDIE_BATCHES, -1).mean(axis=1)
+    den_b = den[:nb].reshape(GOLDIE_BATCHES, -1).mean(axis=1)
     c_b = num_b / (alpha * den_b)
-    stderr = float(np.std(c_b, ddof=1) / math.sqrt(n_batches))
+    stderr = float(np.std(c_b, ddof=1) / math.sqrt(GOLDIE_BATCHES))
     return GoldieEstimate(c_hat=c_hat, stderr=stderr, n_samples=n)

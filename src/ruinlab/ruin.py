@@ -43,14 +43,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel, chain_pairs,
-                     run_discounted_sup, wilson_halfwidth)
+from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, Z_95, StepKernel,
+                     chain_pairs, run_discounted_sup, wilson_halfwidth)
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig
 
-__all__ = ["RuinEstimate", "TailFit", "ClassicalRuin", "estimate_psi",
-           "estimate_psi_grid", "classical_psi", "fit_tail", "bounds_check",
-           "rw_max_diagnostic", "barrier_level"]
+__all__ = ["RuinEstimate", "TailFit", "ClassicalRuin", "estimate_psi_grid",
+           "classical_psi", "fit_tail", "bounds_check", "rw_max_diagnostic",
+           "barrier_level"]
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,6 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
     ]
 
 
-def estimate_psi(u: float, config: ModelConfig, n_paths: int,
-                 max_steps: int = 10_000, barrier_multiple: float = 1_000.0,
-                 seed: int = 0, workers: int = 1,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> RuinEstimate:
-    """Ruin-probability estimate at a single initial reserve."""
-    return estimate_psi_grid([u], config, n_paths, max_steps, barrier_multiple,
-                             seed, workers, chunk_size)[0]
-
-
 # -- classical closed form --------------------------------------------------------
 
 def classical_psi(lambda_rate: float, claim_mean: float, c: float, u: float
@@ -188,7 +179,7 @@ def fit_tail(estimates: Sequence[RuinEstimate]) -> TailFit:
     x = np.log([e.u for e in keep])
     y = np.log([e.psi_hat for e in keep])
     # sd of log psi_hat ~ (wilson halfwidth / psi_hat) / z
-    sd = np.array([e.ci_halfwidth / e.psi_hat for e in keep]) / 1.959963984540054
+    sd = np.array([e.ci_halfwidth / e.psi_hat for e in keep]) / Z_95
     w = 1.0 / sd ** 2
     xm = np.average(x, weights=w)
     ym = np.average(y, weights=w)

@@ -5,21 +5,24 @@ Four support shapes are enough for every configuration the toolkit handles:
 * ``finite``           : finitely many atoms,
 * ``countable``        : an infinite atom family given by closed-form index
                          functions, plus the declared limit points of its
-                         support (needed for the tangent geometry),
+                         support; the head atoms j < SERIES_HEAD and the
+                         limit points span every later atom, so they are
+                         the candidate points of the tangent geometry,
 * ``polytope_uniform`` : the uniform law on a convex polygon given by its
                          vertices,
 * ``product``          : independent marginals for mu and sigma^2/2.
 
 The one countable family shipped with the package is the zeta-weighted
 family P(Theta = (1/j, 1 - 1/j)) = j^(-p) / zeta(p), j >= 1, whose support
-accumulates at (0, 1).  Countable sums go through ``countable_sum``.
+accumulates at (0, 1): its atoms lie on the segment from (1, 0), j = 1,
+to the limit (0, 1).  Countable sums go through ``countable_sum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,6 +122,12 @@ class ThetaLaw:
     @classmethod
     def countable(cls, point_fn, prob_fn, index_sampler,
                   limit_points: Sequence[Point] = ()) -> "ThetaLaw":
+        """Atoms point_fn(j) with probabilities prob_fn(j), j >= 1.
+
+        Contract: every atom j >= SERIES_HEAD lies in the convex hull of the
+        head atoms j = 1, ..., SERIES_HEAD - 1 and ``limit_points``, so a
+        linear functional's maximum over the support sits at one of them.
+        """
         return cls("countable", point_fn=point_fn, prob_fn=prob_fn,
                    index_sampler=index_sampler,
                    limit_points=tuple((float(x), float(y))
@@ -170,28 +179,30 @@ class ThetaLaw:
     def is_point_mass(self) -> bool:
         return self.kind == "finite" and len(self.atoms) == 1
 
-    @cached_property
+    @property
     def support_box(self) -> Tuple[float, float, float, float]:
         """(mu_min, mu_max, hs_min, hs_max) of the candidate points."""
-        # per column: an axis-0 reduction of the (n, 2) rows is ten times slower
         mu, hs = self.candidate_points().T
         return float(mu.min()), float(mu.max()), float(hs.min()), float(hs.max())
 
-    def candidate_points(self, j_probe: int = 100_000) -> np.ndarray:
+    def candidate_points(self) -> np.ndarray:
         """Points whose touch values determine the tangent parameter, as a
         (k, 2) array of (mu, sigma^2/2) rows.
 
-        The scanned linear functionals are linear in theta, so for polytopes
-        and product boxes the extreme values sit at vertices/corners; for
-        countable supports the declared limit points follow the atom rows,
-        scanned once per law and probe size into a read-only array.
+        The scanned functionals are linear in theta, so their maximum over
+        the support sits at an atom, a polygon vertex or a product-box
+        corner; a countable law gives its head atoms j < SERIES_HEAD and
+        then its limit points, which span the rest by the contract of
+        ``countable``.
         """
         if self.kind == "finite":
             return np.array([p for p, _ in self.atoms], dtype=float)
         if self.kind == "polytope_uniform":
             return np.array(self.vertices, dtype=float)
         if self.kind == "countable":
-            return _countable_points(self.point_fn, self.limit_points, j_probe)
+            j = np.arange(1.0, SERIES_HEAD)
+            return np.vstack([np.column_stack(self.point_fn(j)),
+                              np.reshape(self.limit_points, (-1, 2))])
         a, b = self.dist_mu.support()
         c, d = self.dist_halfsig2.support()
         if not (math.isfinite(b) and math.isfinite(d)):
@@ -201,15 +212,6 @@ class ThetaLaw:
         if not math.isfinite(a):
             raise DistributionError("mu marginal must be bounded below")
         return np.array([(a, c), (a, d), (b, c), (b, d)], dtype=float)
-
-
-@lru_cache(maxsize=8)
-def _countable_points(point_fn, limit_points: tuple, j_probe: int):
-    j = np.arange(1.0, float(j_probe) + 1.0)
-    pts = np.vstack([np.column_stack(point_fn(j)),
-                     np.reshape(limit_points, (-1, 2))])
-    pts.flags.writeable = False
-    return pts
 
 
 # -- zeta-weighted worked family ----------------------------------------------

@@ -19,8 +19,10 @@ import pytest
 
 from ruinlab import (EstimationError, classify_endpoint, lundberg_report,
                      phi_nu_analytic, q_plus_compute, zeta_regime_law)
-from ruinlab.theta import countable_sum
-from test_lundberg import EXP1, GAMMA2, zeta_cfg
+from ruinlab.lundberg import _inner, _touch_values
+from ruinlab.theta import SERIES_HEAD, countable_sum
+from test_lundberg import (EXP1, FALLING_SERIES, GAMMA2, flat_series,
+                           zeta_cfg)
 
 mp.mp.dps = 60
 Q_PLUS = mp.findroot(lambda q: q * (q + 1) - 1, 0.6)
@@ -87,7 +89,7 @@ def test_phi_nu_p2_near_q_plus_is_conditioned_by_the_last_bit_of_a():
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
-def test_endpoint_value_and_near_part(p):
+def test_endpoint_value(p):
     verdict = classify_endpoint(q_plus_compute(zeta_regime_law(p), 1.0),
                                 EXP1)
     assert verdict.verdict == "endpoint_finite"
@@ -136,12 +138,36 @@ def test_countable_sum_on_plain_series():
         countable_sum(lambda j: 1.0 / j)
 
 
-def test_candidate_points_scanned_once_per_law():
-    law = zeta_regime_law(2)
-    pts = law.candidate_points()
-    for q in (0.1, 0.3):
-        phi_nu_analytic(law, EXP1, q)
-    assert law.candidate_points() is pts
-    assert not pts.flags.writeable
-    assert np.array_equal(law.candidate_points(j_probe=100), pts[:100].tolist()
-                          + [[0.0, 1.0]])
+def _probe(law, n):
+    """The atom rows j = 1, ..., n and then the limit points."""
+    j = np.arange(1.0, n + 1.0)
+    return np.vstack([np.column_stack(law.point_fn(j)),
+                      np.reshape(law.limit_points, (-1, 2))])
+
+
+@pytest.mark.parametrize("law", [
+    zeta_regime_law(2), zeta_regime_law(3), zeta_regime_law(4),
+    zeta_regime_law(5), flat_series(0.5), flat_series(0.25, [(0.0, 0.5)]),
+    FALLING_SERIES],
+    ids=["zeta2", "zeta3", "zeta4", "zeta5", "flat", "flat_below_limit",
+         "falling"])
+def test_head_candidates_match_full_probe(law):
+    # the head atoms and limit points give every bit a scan of the first
+    # 100,000 atoms gave: first touch, touching points, box, top levels
+    pts, ref = law.candidate_points(), _probe(law, 100_000)
+    assert np.array_equal(pts, np.vstack([ref[:SERIES_HEAD - 1],
+                                          ref[100_000:]]))
+    q_plus = float(np.min(_touch_values(*pts.T, 1.0)))
+    assert q_plus == float(np.min(_touch_values(*ref.T, 1.0)))
+    levels = _inner(q_plus, *ref.T)
+    on_line = np.abs(levels - 1.0) <= 1e-12
+    assert (q_plus_compute(law, 1.0).touching_points
+            == tuple(dict.fromkeys(map(tuple, ref[on_line].tolist()))))
+    mu, hs = ref.T
+    assert law.support_box == (mu.min(), mu.max(), hs.min(), hs.max())
+    # the contract of ThetaLaw.countable, out to a million atoms
+    far = _probe(law, 10 ** 6)
+    for q in q_plus * np.array([1e-6, 0.3, 0.9, 1.0 - 1e-8, 1.0]):
+        top = np.max(_inner(q, *pts.T))
+        assert top == np.max(_inner(q, *ref.T))
+        assert np.max(_inner(q, *far.T)) <= top

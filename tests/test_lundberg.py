@@ -52,6 +52,19 @@ MASS_IDS = ["rotated_edge", "square_vertex", "triangle_vertex",
 MASS_K = [0.5, 1.0, 1.5, 2.0, 2.5]
 
 
+def flat_series(y, limits=()):
+    """Every atom at (0, y), with p_j = j^-2 / zeta(2)."""
+    return ThetaLaw.countable(
+        lambda j: (np.zeros_like(j), np.full_like(j, y)),
+        lambda j: j ** -2.0 / zeta(2.0), None, limit_points=limits)
+
+
+# atoms (0, 1/2 + 1/(2j)) falling from (0, 1) to the limit point (0, 1/2)
+FALLING_SERIES = ThetaLaw.countable(
+    lambda j: (np.zeros_like(j), 0.5 + 0.5 / j),
+    lambda j: j ** -2.0 / zeta(2.0), None, limit_points=[(0.0, 0.5)])
+
+
 def _gamma_tau(k: float) -> Distribution:
     """Gamma(k, 1), written Exp(1) when k = 1."""
     return EXP1 if k == 1.0 else Distribution.gamma(k, 1.0)
@@ -481,11 +494,8 @@ class TestTheorem2:
         # every atom at one point: a touching head atom gives rho = 0; atoms
         # off the ray below a touching limit point never close the gap, so
         # rho = inf and the value is the plain sum p_j phi_tau(q_tau - h)
-        prob = lambda j: j ** -2.0 / zeta(2.0)
         for y, limits, rho in ((0.5, (), 0.0), (0.25, [(0.0, 0.5)], math.inf)):
-            law = ThetaLaw.countable(
-                lambda j, y=y: (np.zeros_like(j), np.full_like(j, y)), prob,
-                None, limit_points=limits)
+            law = flat_series(y, limits)
             geom = q_plus_compute(law, 1.0)
             assert geom.q_plus == pytest.approx(1.0, rel=1e-12)
             assert geom.h_law.rho == rho
@@ -495,13 +505,10 @@ class TestTheorem2:
     def test_series_head_atom_touches_above_limit_point(self):
         # the first atom touches while the atoms fall away to a limit point
         # below the ray, so the gaps grow with j: rho = 0 all the same
-        law = ThetaLaw.countable(
-            lambda j: (np.zeros_like(j), 0.5 + 0.5 / j),
-            lambda j: j ** -2.0 / zeta(2.0), None, limit_points=[(0.0, 0.5)])
-        geom = q_plus_compute(law, 1.0)
+        geom = q_plus_compute(FALLING_SERIES, 1.0)
         assert geom.q_plus == pytest.approx(GOLDEN, abs=1e-12)
         assert geom.h_law.rho == 0.0
-        assert phi_nu_analytic(law, EXP1, geom.q_plus) == math.inf
+        assert phi_nu_analytic(FALLING_SERIES, EXP1, geom.q_plus) == math.inf
 
     def test_requires_divergent_endpoint(self):
         geom = q_plus_compute(ThetaLaw.point_mass(0.0, 1.0), 1.0)
@@ -632,9 +639,8 @@ class TestSolveBeta:
         want = _gap_mean(0.05 * q, 0.01 * q * (q + 1.0), 0.5, 2.0)
         assert rep.phi_at_endpoint == pytest.approx(want, rel=1e-12)
 
-    def test_product_box_endpoint_counts_mass_beyond_delta(self):
-        # phi_nu(q_plus) = 1.2207 > 1 only once the gaps above q_tau/2 are
-        # counted; the gaps up to q_tau/2 alone give 0.4341
+    def test_product_box_endpoint_value(self):
+        # phi_nu(q_plus) = 1.2207 > 1, so the root lies below the endpoint
         law = UNIF_BOX
         cfg = ModelConfig(
             claim_dist=EXP1, interarrival_dist=EXP1,

@@ -6,7 +6,7 @@ import ruinlab.engine as engine
 import ruinlab.ruin as ruin
 from ruinlab import (Distribution, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, RuinEstimate,
-                     ThetaLaw, bounds_check, classical_psi, estimate_psi,
+                     ThetaLaw, bounds_check, classical_psi,
                      estimate_psi_grid, fit_tail, rw_max_diagnostic)
 
 
@@ -54,17 +54,18 @@ class TestEstimatePsi:
             claim_dist=Distribution.deterministic(0.0),
             interarrival_dist=Distribution.exponential(1.0),
             premium=PremiumSpec(), regime=None)
-        est = estimate_psi(1.0, cfg, 1000, max_steps=200, seed=0)
+        est = estimate_psi_grid([1.0], cfg, 1000, max_steps=200, seed=0)[0]
         assert est.psi_hat == 0.0
 
     def test_ruin_from_zero_reserve(self):
-        est = estimate_psi(0.0, classical_cfg(), 2000, max_steps=500,
-                           barrier_multiple=50.0, seed=1)
+        est = estimate_psi_grid([0.0], classical_cfg(), 2000, max_steps=500,
+                                barrier_multiple=50.0, seed=1)[0]
         assert est.psi_hat > 0.3
 
     def test_matches_classical_formula(self):
-        est = estimate_psi(1.0, classical_cfg(), 50_000, max_steps=5_000,
-                           barrier_multiple=100.0, seed=2)
+        est = estimate_psi_grid([1.0], classical_cfg(), 50_000,
+                                max_steps=5_000, barrier_multiple=100.0,
+                                seed=2)[0]
         exact = classical_psi(1.0, 1.0, 2.0, 1.0).value
         assert abs(est.psi_hat - exact) <= 3.0 * est.ci_halfwidth
 
@@ -99,15 +100,15 @@ class TestEstimatePsi:
         assert alone[0].censored_fraction == wide[3].censored_fraction
 
     def test_deterministic_across_worker_counts(self):
-        est1 = estimate_psi(5.0, beta2_cfg(), 30_000, max_steps=500, seed=5,
-                            workers=1, chunk_size=8192)
-        est2 = estimate_psi(5.0, beta2_cfg(), 30_000, max_steps=500, seed=5,
-                            workers=2, chunk_size=8192)
+        est1, est2 = (estimate_psi_grid([5.0], beta2_cfg(), 30_000,
+                                        max_steps=500, seed=5, workers=w,
+                                        chunk_size=8192)[0] for w in (1, 2))
         assert est1.psi_hat == est2.psi_hat
         assert est1.censored_fraction == est2.censored_fraction
 
     def test_censoring_reported(self):
-        est = estimate_psi(5.0, beta2_cfg(), 2_000, max_steps=3, seed=6)
+        est = estimate_psi_grid([5.0], beta2_cfg(), 2_000, max_steps=3,
+                                seed=6)[0]
         assert est.censored_fraction > 0.5
 
     def test_piecewise_regime_fallback(self):

@@ -69,7 +69,8 @@ def test_zeta_family_needs_p_at_least_2():
 
 
 def test_countable_candidate_points_include_limit():
-    law = zeta_regime_law(3)
-    pts = law.candidate_points(j_probe=100)
-    assert pts.shape == (101, 2)
-    assert np.all(pts == (0.0, 1.0), axis=1).any()
+    # the head atoms j = 1, ..., 255, then the limit point
+    pts = zeta_regime_law(3).candidate_points()
+    assert pts.shape == (256, 2)
+    assert pts[0].tolist() == [1.0, 0.0]
+    assert pts[-1].tolist() == [0.0, 1.0]
