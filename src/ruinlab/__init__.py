@@ -11,8 +11,7 @@ from .lundberg import (HLaw, LundbergReport, TangentGeometry, EndpointVerdict,
                        u_vector)
 from .perpetuity import (GoldieEstimate, PerpetuityBatch, goldie_constant,
                          ks_fixed_point, model_pair_sampler, qbar_pair_sampler,
-                         sample_R_values, sample_Rbar_values,
-                         sample_sup_values)
+                         sample_R_values, sample_Rbar_values)
 from .ruin import (BoundsCheck, ClassicalRuin, RuinEstimate, TailFit,
                    bounds_check, classical_psi, estimate_psi_grid,
                    fit_tail, rw_max_diagnostic)

@@ -38,17 +38,22 @@ EXIT_HYPOTHESIS = 3
 EXIT_FAILED = 1
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _jsonable(obj):
+    """``obj`` with numpy values made plain and non-finite floats spelled
+    "inf", "-inf" or "nan": standard JSON has no such numbers."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    finite = not isinstance(obj, float) or math.isfinite(obj)
+    return obj if finite else str(obj)
 
 
 def _dump_json(doc, path: Optional[str]):
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
-    text = text.replace("Infinity", '"inf"')
+    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2,
+                      allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -243,7 +248,8 @@ def cmd_simulate(args) -> int:
     rows = [[0, s, "", "", ""]]
     for n in range(1, args.steps + 1):
         blk = kernel.sample(streams, 1, t_start=t)
-        nu, zeta = float(blk.nu[0]), float(blk.zeta[0])
+        claim, nu = float(blk.claim[0]), float(blk.nu[0])
+        zeta = -claim if blk.premium is None else float(blk.premium[0]) - claim
         lam = math.exp(-nu)
         s = lam * s + zeta
         t += blk.tau

@@ -8,6 +8,7 @@ compatibility.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from .distributions import Distribution
@@ -56,8 +57,10 @@ def _take(obj: dict, path: str, known: dict, required: tuple):
     for key, kind in known.items():
         if key in obj:
             val = obj.pop(key)
-            if kind == "number" and not isinstance(val, (int, float)):
-                raise ConfigError("expected a number", f"{path}.{key}")
+            # Python's json reads NaN and the infinities, which RFC 8259 lacks
+            if kind == "number" and not (isinstance(val, (int, float))
+                                         and math.isfinite(val)):
+                raise ConfigError("expected a finite number", f"{path}.{key}")
             if kind == "int" and not isinstance(val, int):
                 raise ConfigError("expected an integer", f"{path}.{key}")
             if kind == "str" and not isinstance(val, str):

@@ -230,7 +230,7 @@ class Distribution:
             if k == "exponential":
                 rate = p[0]
                 out = rate - x
-                np.divide(rate, out, out=out)  # in place: blocks reach 2M atoms
+                np.divide(rate, out, out=out)
                 out[~(x < rate)] = math.inf
             elif k == "gamma":
                 shape, scale = p

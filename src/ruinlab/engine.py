@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -72,12 +72,14 @@ _BLOCK_FLOATS = 1 << 14           # float64s per piecewise cell block
 
 @dataclass
 class StepBlock:
-    """Per-step draw for a block of paths (all arrays share one length)."""
+    """Per-step draw for a block of paths (all arrays share one length);
+    ``premium`` is the step's premium integral, None where no claim is drawn
+    or the premium is 0."""
 
     tau: np.ndarray
     nu: np.ndarray
     claim: Optional[np.ndarray]
-    zeta: Optional[np.ndarray]
+    premium: Optional[np.ndarray]
     exp_integral: Optional[np.ndarray]
 
 
@@ -104,29 +106,26 @@ class StepKernel:
             if self._point:
                 (self._mu0, self._hs0), _ = theta.atoms[0]
             self._theta = theta
-        prem = config.premium
-        self._premium_mode = ("zero" if prem.c == 0.0 else "constant"
-                              if prem.gamma_rate == 0.0 else "exponential_decay")
+        prem = config.premium             # only a decaying one reads the clock
+        self.decay = prem.c != 0.0 and prem.gamma_rate != 0.0
 
     def sample(self, streams: RngStreams, n: int,
-               t_start: Optional[np.ndarray] = None,
+               t_start: Union[float, np.ndarray] = 0.0,
                need_claim: bool = True,
                need_exp_integral: bool = False) -> StepBlock:
         cfg = self.config
         tau = np.atleast_1d(cfg.interarrival_dist.sample(streams.regime, n))
-        want_integrals = need_exp_integral or (
-            need_claim and self._premium_mode != "zero")
-        exp_integral = premium_int = None
+        want_premium = need_claim and cfg.premium.c != 0.0
+        want_integrals = need_exp_integral or want_premium
+        decay = want_premium and self.decay
+        exp_integral = premium = None
         if not self.investment:
             nu, exp_integral = np.zeros(n), tau
-            if self._premium_mode == "constant":
-                premium_int = cfg.premium.c * tau
-            elif self._premium_mode == "exponential_decay":
-                t0 = 0.0 if t_start is None else t_start
-                premium_int = cfg.premium.integral(t0, t0 + tau)
+            if decay:
+                premium = cfg.premium.integral(t_start, t_start + tau)
         elif self._piecewise:
-            nu, exp_integral, premium_int = self._cell_steps(
-                streams, tau, t_start, want_integrals)
+            nu, exp_integral, premium = self._cell_steps(
+                streams, tau, t_start, want_integrals, decay)
         else:
             if self._point:
                 mu, hs = self._mu0, self._hs0
@@ -138,18 +137,18 @@ class StepKernel:
             z = streams.brownian.standard_normal(n) * (sigma * np.sqrt(tau))
             nu = -(k_tot + z)
             if want_integrals:
-                exp_integral, premium_int = self._bridge_integrals(
-                    streams, tau, nu, sigma, t_start)
-        claim = None
-        zeta = None
-        if need_claim:
-            claim = np.atleast_1d(cfg.claim_dist.sample(streams.claims, n))
-            zeta = -claim if premium_int is None else premium_int - claim
-        return StepBlock(tau=tau, nu=nu, claim=claim, zeta=zeta,
+                exp_integral, premium = self._bridge_integrals(
+                    streams, tau, nu, sigma, t_start, decay)
+        if want_premium and not decay:
+            premium = cfg.premium.c * exp_integral
+        # drawn last: the claim array carries Q out of the step
+        claim = (np.atleast_1d(cfg.claim_dist.sample(streams.claims, n))
+                 if need_claim else None)
+        return StepBlock(tau=tau, nu=nu, claim=claim, premium=premium,
                          exp_integral=exp_integral if need_exp_integral else None)
 
-    def _cell_steps(self, streams, tau, t_start, want_integrals):
-        """nu and the growth and premium integrals over piecewise cells.
+    def _cell_steps(self, streams, tau, t_start, want_integrals, decay):
+        """nu and the growth and decaying-premium integrals of piecewise cells.
 
         Cell k of a row spans [k h, min((k + 1) h, tau)] and draws its own mu,
         sigma and Wiener increment; nu is minus the sum of a row's cell log
@@ -161,7 +160,6 @@ class StepKernel:
         all its cells, then sigma, then the increments.
         """
         spec, prem, n = self.config.regime, self.config.premium, len(tau)
-        decay = want_integrals and self._premium_mode == "exponential_decay"
         counts = np.maximum(1, np.ceil(tau / spec.h - 1e-12).astype(np.int64))
         ends = np.cumsum(counts)
         nu = np.empty(n)
@@ -195,24 +193,20 @@ class StepKernel:
             e1[last] = 1.0
             exp_integral[r0:r1] = np.add.reduceat(width * (e0 + e1) / 2.0, first)
             if decay:
-                t0 = 0.0 if t_start is None else np.repeat(t_start[r0:r1], cnt)
+                t0 = np.repeat(np.broadcast_to(t_start, n)[r0:r1], cnt)
                 area = e0 * prem.rate(t0 + node) + e1 * prem.rate(t0 + end)
                 premium_int[r0:r1] = np.add.reduceat(width * area / 2.0, first)
-        if want_integrals and self._premium_mode == "constant":
-            premium_int = prem.c * exp_integral
         return nu, exp_integral, premium_int
 
-    def _bridge_integrals(self, streams, tau, nu, sigma, t_start):
-        """Growth integral (and premium integral) via a pinned bridge.
+    def _bridge_integrals(self, streams, tau, nu, sigma, t0, decay):
+        """Growth and decaying-premium integrals via a pinned bridge.
 
         v_k = (1 - k/m) L - sigma B_k is the log growth from s_k = (k/m) tau
         to tau, L = -nu.  The bridge B from 0 to 0 is built node by node from
         one normal per interior node and row: in units of sqrt(tau / m),
         b_k = r_k b_{k-1} + sqrt(r_k) N_k with r_k = (m - k) / (m - k + 1).
         """
-        m, prem = self.m, self.config.premium
-        decay = self._premium_mode == "exponential_decay"
-        t0, premium_int = 0.0 if t_start is None else t_start, None
+        m, prem, premium_int = self.m, self.config.premium, None
         cell = tau / m
         growth = np.exp(-nu)
         if decay:
@@ -238,18 +232,19 @@ class StepKernel:
         exp_integral *= cell
         if decay:
             premium_int *= cell
-        elif self._premium_mode == "constant":
-            premium_int = prem.c * exp_integral
         return exp_integral, premium_int
 
 
 def chain_pairs(kernel: StepKernel, streams: RngStreams, t: np.ndarray):
-    """(M, Q, tau) = (1/lam, -zeta/lam, tau) of the ruin chain for the rows
-    whose clocks are ``t``.  M is None without investment, and tau is None
-    unless the premium decays, the only step that reads the clock."""
+    """(M, Q, tau) = (1/lam, (claim - premium)/lam, tau) of the ruin chain
+    for the rows whose clocks are ``t``, Q formed in the claim array.  M is
+    None without investment, and tau is None unless the premium decays, the
+    only step that reads the clock."""
     blk = kernel.sample(streams, len(t), t_start=t)
-    q = np.negative(blk.zeta, out=blk.zeta)
-    tau = blk.tau if kernel._premium_mode == "exponential_decay" else None
+    q = blk.claim
+    if blk.premium is not None:
+        q -= blk.premium
+    tau = blk.tau if kernel.decay else None
     if kernel.investment:
         m = np.exp(blk.nu, out=blk.nu)
         return m, np.multiply(q, m, out=q), tau
@@ -270,19 +265,20 @@ class SupRun(NamedTuple):
 
 def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
                    n_max: int, drop: float = math.inf, scale: float = 1.0,
-                   rel_tol: float = 0.0) -> SupRun:
+                   rel_tol: float = REL_TOL) -> SupRun:
     """Run D_n = sum_{k<=n} Q_k prod_{i<k} M_i and its supremum on ``size`` rows.
 
     ``pairs(streams, t)`` draws (M, Q, tau) for the rows whose clocks are
     ``t``; M is None when every multiplier is 1, tau None when no clock is
     needed.  The state is updated in place: total += prod Q, sup = max(sup,
     total), prod *= M, t += tau.  A row stops after a term once the walk has
-    dropped more than ``drop`` below its supremum, or once prod scale <
-    rel_tol max(|sup|, scale): the rest of the sum is prod times a fresh copy
-    of the whole, of order ``scale``.  The rule reads no reserve or threshold
-    of the caller.  A row whose state turns NaN stops too, and ``non_finite``
-    marks the rows whose total is not finite.  Stopped rows are dropped once
-    fewer than 70 % are live.
+    dropped more than ``drop`` below its supremum, or, when the pairs carry
+    multipliers, once prod scale < rel_tol max(|sup|, scale): the rest of the
+    sum is prod times a fresh copy of the whole, of order ``scale``.  The
+    package's callers all stop at the default, ``REL_TOL``.  The rule reads no
+    reserve or threshold of the caller.  A row whose state turns NaN stops
+    too, and ``non_finite`` marks the rows whose total is not finite.
+    Stopped rows are dropped once fewer than 70 % are live.
     """
     total, prod, t, buf = (np.zeros(size), np.ones(size), np.zeros(size),
                            np.empty(size))
@@ -297,14 +293,13 @@ def discounted_sup(streams: RngStreams, size: int, *, pairs: Callable,
         m, q, tau = pairs(streams, t)
         total += np.multiply(prod, q, out=buf[:n])
         np.maximum(sup, total, out=sup)
-        if m is not None:
-            prod *= m
         if tau is not None:
             t += tau
         # written as "keep going" so that a NaN compares as a stop
         keep = np.less_equal(np.subtract(sup, total, out=buf[:n]), drop,
                              out=hit[:n])
-        if rel_tol > 0.0:          # prod < rel_tol max(|sup| / scale, 1)
+        if m is not None:          # prod < rel_tol max(|sup| / scale, 1)
+            prod *= m
             lim = np.abs(sup, out=buf[:n])
             lim *= rel_tol / scale
             keep &= np.greater_equal(prod, np.maximum(lim, rel_tol, out=lim),

@@ -134,21 +134,11 @@ class LundbergReport:
     def to_dict(self) -> dict:
         return {
             "beta": self.beta,
-            "q_nu": _json_float(self.q_nu),
-            "phi_at_endpoint": _json_float(self.phi_at_endpoint),
+            "q_nu": self.q_nu,
+            "phi_at_endpoint": self.phi_at_endpoint,
             "hypothesis_flags": self.hypothesis_flags,
             "status": self.status,
         }
-
-
-def _json_float(x):
-    if x is None:
-        return None
-    if math.isinf(x):
-        return "inf"
-    if math.isnan(x):
-        return "nan"
-    return x
 
 
 # -- tangent parameter ---------------------------------------------------------

@@ -12,9 +12,9 @@ The ruin bounds rest on two perpetuities of the ruin chain's pairs (M, Q) =
 
 Both run on ``engine.discounted_sup``, the loop that also serves the ruin
 chain: R is its final partial sum, R_bar its running supremum.  A slot
-stops once its running product is below ``rel_tol`` max(1, |sup|); what is
-left is that product times a fresh copy of the perpetuity.  The default is
-the chain's tolerance, ``engine.REL_TOL`` = 3e-6, set by a paired audit on
+stops once its running product is below eps max(1, |sup|); what is left is
+that product times a fresh copy of the perpetuity.  eps is the chain's one
+stop tolerance, ``engine.REL_TOL`` = 3e-6, set by a paired audit on
 beta2 (``tests/perpetuity_audit.py``, 24 chunks of 65,536 rows a sampler,
 seed 17): rows above u at the stop minus the same rows run on for 2,000
 terms (largest product left below 2e-13), per 65,536 rows; for c_hat, the
@@ -56,7 +56,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import stats
 
-from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, StepKernel, chain_pairs,
+from .engine import (DEFAULT_CHUNK_SIZE, StepKernel, chain_pairs,
                      run_discounted_sup)
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig, PremiumSpec, RngStreams, as_streams
@@ -64,7 +64,7 @@ from .model import ModelConfig, PremiumSpec, RngStreams, as_streams
 __all__ = [
     "PerpetuityBatch", "GoldieEstimate", "model_pair_sampler",
     "qbar_pair_sampler", "sample_R_values", "sample_Rbar_values",
-    "sample_sup_values", "ks_fixed_point", "goldie_constant",
+    "ks_fixed_point", "goldie_constant",
 ]
 
 # A pair sampler draws (M, Q, tau) for the slots whose clocks are t, as
@@ -144,51 +144,39 @@ def _check_contraction(sampler: PairSampler, seed: int, n: int = 20_000):
 
 # -- lockstep samplers ------------------------------------------------------------
 
-def _run(read, sampler, n_samples, seed, n_max, rel_tol, workers, chunk_size):
+def _run(read, sampler, n_samples, seed, n_max, workers, chunk_size):
     """Each slot's ``read`` field of the loop: its final sum or supremum."""
-    if n_max < 1 or rel_tol < 0.0:
-        raise ValueError("need n_max >= 1 and rel_tol >= 0")
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     _check_contraction(sampler, seed)
     run = run_discounted_sup(sampler, n_samples, seed, workers, chunk_size,
-                             n_max=n_max, rel_tol=rel_tol)
+                             n_max=n_max)
     return PerpetuityBatch(getattr(run, read), run.n_terms,
                            run.stopped & ~run.non_finite, run.non_finite)
 
 
 def sample_R_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
-                    n_max: int = DEFAULT_N_MAX, rel_tol: float = REL_TOL,
-                    workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
-                    ) -> PerpetuityBatch:
+                    n_max: int = DEFAULT_N_MAX, workers: int = 1,
+                    chunk_size: int = DEFAULT_CHUNK_SIZE) -> PerpetuityBatch:
     """Sample the increasing perpetuity; values are truncated partial sums.
 
-    A slot stops once its running product is below ``rel_tol`` max(1, sum):
-    what is left is that product times an independent copy of the
-    perpetuity, negligible against sampling noise.
+    A slot stops once its running product is below ``engine.REL_TOL``
+    max(1, sum): what is left is that product times an independent copy of
+    the perpetuity, negligible against sampling noise.
     """
-    return _run("total", pair_sampler, n_samples, seed, n_max, rel_tol,
-                workers, chunk_size)
-
-
-def sample_sup_values(pair_sampler: PairSampler, n_samples: int, seed: int = 0,
-                      n_max: int = DEFAULT_N_MAX,
-                      rel_tol: float = REL_TOL, workers: int = 1,
-                      chunk_size: int = DEFAULT_CHUNK_SIZE) -> PerpetuityBatch:
-    """Running supremum of the partial sums (increments of either sign).
-
-    A slot stops once its running product is below ``rel_tol`` max(1, |sup|).
-    """
-    return _run("sup", pair_sampler, n_samples, seed, n_max, rel_tol,
-                workers, chunk_size)
+    return _run("total", pair_sampler, n_samples, seed, n_max, workers,
+                chunk_size)
 
 
 def sample_Rbar_values(config: ModelConfig, n_samples: int, seed: int = 0,
-                       n_max: int = DEFAULT_N_MAX,
-                       rel_tol: float = REL_TOL, workers: int = 1,
+                       n_max: int = DEFAULT_N_MAX, workers: int = 1,
                        chunk_size: int = DEFAULT_CHUNK_SIZE
                        ) -> PerpetuityBatch:
-    """Supremum perpetuity for the premium-capped lower bound."""
-    return sample_sup_values(qbar_pair_sampler(config), n_samples, seed,
-                             n_max, rel_tol, workers, chunk_size)
+    """Supremum perpetuity for the premium-capped lower bound (increments of
+    either sign); a slot stops once its running product is below
+    ``engine.REL_TOL`` max(1, |sup|)."""
+    return _run("sup", qbar_pair_sampler(config), n_samples, seed, n_max,
+                workers, chunk_size)
 
 
 # -- fixed point and tail constant --------------------------------------------------

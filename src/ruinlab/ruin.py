@@ -10,13 +10,13 @@ regimes alike, and a monetary rescaling by a power of two reproduces the
 ruin indicators bit for bit.
 
 A path stops once D_n has dropped ``barrier_multiple`` mean claims below
-its supremum (walk drop), or once prod M < REL_TOL max(|sup| / m, 1),
-m the mean claim (contraction).  The rule reads no reserve, so psi_hat(u)
-does not depend on the rest of the grid.  Paths still running after
-``max_steps`` with a supremum at most u count as survived and are reported
-in ``censored_fraction``; paths whose state turns NaN or infinite stop there,
-count as neither ruined nor censored, and are reported in
-``non_finite_fraction``.
+its supremum (walk drop), or, with investment, once prod M < REL_TOL
+max(|sup| / m, 1), m the mean claim (contraction).  The rule reads no
+reserve, so psi_hat(u) does not depend on the rest of the grid.  Paths
+still running after ``max_steps`` with a supremum at most u count as
+survived and are reported in ``censored_fraction``; paths whose state turns
+NaN or infinite stop there, count as neither ruined nor censored, and are
+reported in ``non_finite_fraction``.
 
 Paired bias of the contraction tolerance eps on beta2 (8-node bridge, seeds
 5 / 17): ruined paths of a 65,536-path chunk at the stop minus the same rows
@@ -29,8 +29,8 @@ run on with the rule off for 1,600 steps (largest product left below 1e-11):
 
 A third of the 1e6-path standard error is 6.2 such paths at u = 10 and
 10.8 at u = 30, so 3e-6 is the loosest of the three whose bias stays below
-it at every u.  ``engine.REL_TOL`` holds it, and the perpetuity samplers
-stop at the same tolerance.
+it at every u.  ``engine.REL_TOL`` holds it as ``discounted_sup``'s one
+stop tolerance, so the perpetuity samplers stop at the same tolerance.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import (DEFAULT_CHUNK_SIZE, REL_TOL, Z_95, StepKernel,
-                     chain_pairs, run_discounted_sup, wilson_halfwidth)
+from .engine import (DEFAULT_CHUNK_SIZE, Z_95, StepKernel, chain_pairs,
+                     run_discounted_sup, wilson_halfwidth)
 from .errors import EstimationError, HypothesisViolation
 from .model import ModelConfig
 
@@ -118,7 +118,7 @@ def estimate_psi_grid(u_grid: Sequence[float], config: ModelConfig,
     run = run_discounted_sup(
         pairs, n_paths, seed, workers, chunk_size, n_max=max_steps,
         drop=barrier_level(0.0, config, barrier_multiple),
-        scale=barrier_level(0.0, config, 1.0), rel_tol=REL_TOL)
+        scale=barrier_level(0.0, config, 1.0))
     bad_sup = run.sup[run.non_finite]           # no full-width copy of sup
     unstopped_sup = run.sup[~(run.stopped | run.non_finite)]
     ruined = [np.count_nonzero(run.sup > u) - np.count_nonzero(bad_sup > u)

@@ -132,7 +132,7 @@ def _chunk(config: ModelConfig, streams: RngStreams, n: int, ms, fine: int,
             coarse = normals if m == fine else _node_normals(b, m)
             replay = SimpleNamespace(brownian=ReplayNormals(coarse))
             trap, _ = kernels[m]._bridge_integrals(replay, tau, nu, sigma,
-                                                   None)
+                                                   0.0, False)
             vm = v[::fine // m]
             integrals[m] = (trap, _loglinear(vm[:-1], vm[1:]).sum(axis=0)
                             * (tau / m))

@@ -2,9 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ruinlab import ConfigError, lundberg, parse_experiment
+from ruinlab import ConfigError, cli, lundberg, parse_experiment, validate
 from ruinlab.cli import main
 from ruinlab.engine import REL_TOL, StepKernel
 
@@ -209,14 +210,76 @@ def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
     ({"ruin": {"barrier_multiple": -1.0}}, ["ruin"],
      "$.ruin.barrier_multiple"),
     ({"perpetuity": {"n_max": 0}}, ["perpetuity"], "$.perpetuity.n_max"),
+    # json.dumps writes these as NaN, which Python's json reads back
+    ({"model": dict(BETA2["model"], claim={"kind": "exponential",
+                                          "rate": math.nan})},
+     ["ruin"], "$.model.claim.rate"),
+    ({"model": dict(BETA2["model"], premium={"mode": "constant",
+                                            "c": math.nan})},
+     ["ruin"], "$.model.premium.c"),
 ], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples",
-        "max_steps", "barrier_multiple", "n_max"])
+        "max_steps", "barrier_multiple", "n_max", "nan_rate", "nan_premium"])
 def test_out_of_range_values_exit_2(tmp_path, capsys, extra, argv, field):
     cfg = write_cfg(tmp_path, dict(BETA2, **extra))
     assert main(argv + ["--config", cfg, "--workers", "1"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "config"
     assert doc["field"] == field
+
+
+def test_error_json_keeps_strings_that_name_infinity(tmp_path, capsys):
+    bad = dict(BETA2, model=dict(BETA2["model"], claim={"kind": "Infinity"}))
+    assert main(["lundberg", "--config", write_cfg(tmp_path, bad)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["field"] == "$.model.claim.kind"
+    assert "unknown distribution kind 'Infinity'" in doc["message"]
+
+
+def test_non_finite_floats_dump_as_strings(capsys):
+    cli._dump_json({"a": [-math.inf, math.nan], "b": np.float64(math.inf)},
+                   None)
+    assert json.loads(capsys.readouterr().out) == {"a": ["-inf", "nan"],
+                                                   "b": "inf"}
+
+
+def test_ruin_tail_fit_bounds_and_plot_data(tmp_path, capsys):
+    # four reserves are the least that the tail fit takes
+    cfg = write_cfg(tmp_path, BETA2)
+    base, plot = tmp_path / "run", tmp_path / "plot.csv"
+    assert main(["ruin", "--config", cfg, "--u", "5,10,20,40", "--paths",
+                 "3000", "--seed", "9", "--workers", "1", "--beta", "2",
+                 "--out", str(base), "--emit-plot-data", str(plot)]) == 0
+    capsys.readouterr()
+    psi = [float(line.split(",")[1]) for line in
+           (tmp_path / "run.csv").read_text().splitlines()[1:]]
+    assert len(psi) == 4 and all(p > 0 for p in psi)
+    doc = json.loads((tmp_path / "run_tailfit.json").read_text())
+    assert doc["tail_fit"]["u_grid"] == [5.0, 10.0, 20.0, 40.0]
+    assert doc["summary"] == f"slope={doc['tail_fit']['slope']:.4f}"
+    ratios = [u ** 2 * p for u, p in zip((5, 10, 20, 40), psi)]
+    assert doc["bounds_check"]["ratio_min"] == pytest.approx(min(ratios))
+    assert doc["bounds_check"]["ratio_max"] == pytest.approx(max(ratios))
+    lines = plot.read_text().splitlines()
+    assert lines[0] == "log_u,log_psi_hat" and len(lines) == 5
+    assert float(lines[1].split(",")[0]) == pytest.approx(math.log(5.0))
+
+
+@pytest.mark.parametrize("results, code", [
+    ((True, True), 0), ((True, False), 1)], ids=["pass", "fail"])
+def test_validate_reports_each_criterion(monkeypatch, capsys, results, code):
+    def stub(passed, workers=None):
+        return validate.CriterionResult(f"stub_{passed}", passed, 0.0,
+                                        {"x": 0.5})
+
+    monkeypatch.setitem(validate.CRITERIA, "stub", stub)
+    monkeypatch.setitem(validate.SUITES, "quick",
+                        [{"name": "stub", "passed": p} for p in results])
+    assert main(["validate", "--workers", "1"]) == code
+    out, err = capsys.readouterr()
+    want = [f"[{'PASS' if p else 'FAIL'}] stub_{p} (0.0s) x=0.5"
+            for p in results]
+    assert out.splitlines() == want
+    assert err == f"validate: {sum(results)}/2 criteria passed\n"
 
 
 def test_ruin_outputs_deterministic(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from ruinlab import (Distribution, ModelConfig, PremiumSpec, RegimeSpec,
                      RngStreams, ThetaLaw, sample_nu)
 from ruinlab.engine import (_BLOCK_FLOATS, DEFAULT_PREMIUM_NODES, StepKernel,
-                            discounted_sup)
+                            chain_pairs, discounted_sup)
 from bridge_audit import ReplayNormals, paired_audit
 from oracles import _draw_step
 from test_ruin import piecewise_cfg
@@ -39,11 +40,7 @@ def _bridge_reference(kernel, normals, tau, nu, sigma, t_start):
             acc += e
             prem_acc += e * prem.rate(t * (k / m) + t0)
         exp_integral[i], premium_int[i] = acc * cell, prem_acc * cell
-    if prem.c == 0.0:
-        return exp_integral, None
-    if prem.gamma_rate == 0.0:
-        return exp_integral, prem.c * exp_integral
-    return exp_integral, premium_int
+    return exp_integral, premium_int if kernel.decay else None
 
 
 THETAS = {
@@ -88,7 +85,8 @@ def test_node_major_bridge_matches_per_row_reference(m, theta, premium):
     for n in (1, 7, 300):
         tau, nu, sigma, t_start = _inputs(kernel, n, seed=n + m)
         ours, ref = RngStreams.from_seed(17, n), RngStreams.from_seed(17, n)
-        got = kernel._bridge_integrals(ours, tau, nu, sigma, t_start)
+        got = kernel._bridge_integrals(ours, tau, nu, sigma, t_start,
+                                       kernel.decay)
         normals = ref.brownian.standard_normal((m - 1, n))
         want = _bridge_reference(kernel, normals, tau, nu, sigma, t_start)
         assert np.array_equal(got[0], want[0]), (n, "exp_integral")
@@ -112,13 +110,14 @@ def test_blocked_bridge_matches_full_width_oracle(m, theta, premium):
     tau, nu, sigma, t_start = _inputs(kernel, n, seed=m)
     full = RngStreams.from_seed(29, m)
     normals = RngStreams.from_seed(29, m).brownian.standard_normal((m - 1, n))
-    want = kernel._bridge_integrals(full, tau, nu, sigma, t_start)
+    want = kernel._bridge_integrals(full, tau, nu, sigma, t_start,
+                                    kernel.decay)
     for r0, r1 in zip(cuts, cuts[1:]):
         rows = slice(r0, r1)
         block = SimpleNamespace(brownian=ReplayNormals(normals[:, rows]))
         sig = sigma[rows] if isinstance(sigma, np.ndarray) else sigma
         got = kernel._bridge_integrals(block, tau[rows], nu[rows], sig,
-                                       t_start[rows])
+                                       t_start[rows], kernel.decay)
         assert np.array_equal(got[0], want[0][rows]), (r0, "exp_integral")
         if want[1] is None:
             assert got[1] is None
@@ -139,7 +138,7 @@ def test_bridge_mean_is_trapezoid_of_mean_growth(m):
     taus = np.full(n, tau)
     nu = -((mu - hs) * tau + sigma * math.sqrt(tau) * rng.standard_normal(n))
     got, _ = kernel._bridge_integrals(RngStreams.from_seed(m), taus, nu,
-                                      sigma, None)
+                                      sigma, 0.0, False)
     nodes = np.exp(mu * tau * (1.0 - np.arange(m + 1) / m))
     want = tau / m * (nodes.sum() - (nodes[0] + nodes[-1]) / 2.0)
     assert abs(got.mean() - want) < 4.0 * got.std() / math.sqrt(n)
@@ -167,7 +166,7 @@ def test_default_step_integral_is_closed_form_trapezoid():
     blk = StepKernel(cfg).sample(ours, 1000, need_exp_integral=True)
     want = (np.exp(-blk.nu) + 1.0) * 0.5 * blk.tau
     assert np.array_equal(blk.exp_integral, want)
-    assert np.array_equal(blk.zeta, 0.1 * want - blk.claim)
+    assert np.array_equal(blk.premium, 0.1 * want)
     ref.brownian.standard_normal(1000)
     assert ours.brownian.standard_normal() == ref.brownian.standard_normal()
 
@@ -220,6 +219,35 @@ def test_nan_increment_stops_its_row(rule):
     assert np.isfinite(run.total[1:]).all() and run.n_terms[1:].min() > 3
 
 
+DECAYING = PremiumSpec(0.1, -0.05)
+
+
+@pytest.mark.parametrize("cfg", [
+    _config(THETAS["point"], DECAYING),
+    replace(piecewise_cfg(), premium=DECAYING),
+    replace(_config(THETAS["point"], DECAYING), regime=None),
+], ids=["beta2", "piecewise", "no_investment"])
+def test_chain_advances_the_premium_clock(cfg):
+    # A decaying premium is the one step that reads the clock: the loop
+    # must carry each row's clock forward by its tau, as this replay does.
+    kernel, n, steps = StepKernel(cfg), 300, 6
+    run = discounted_sup(RngStreams.from_seed(31), n,
+                         pairs=partial(chain_pairs, kernel), n_max=steps)
+    assert not run.stopped.any()
+    replay = RngStreams.from_seed(31)
+    clock, total, prod = np.zeros(n), np.zeros(n), np.ones(n)
+    sup = np.full(n, -np.inf)
+    for _ in range(steps):
+        blk = kernel.sample(replay, n, t_start=clock)
+        m = np.exp(blk.nu)                   # 1 without investment
+        total += prod * ((blk.claim - blk.premium) * m)
+        sup = np.maximum(sup, total)
+        prod *= m
+        clock = clock + blk.tau
+    assert np.array_equal(run.total, total)
+    assert np.array_equal(run.sup, sup)
+
+
 def _assert_matches_oracle(cfg, n_rows, calls, t0):
     """``calls`` kernel samples of ``n_rows`` rows against the scalar step,
     row by row, on twin streams; row i's premium clock is t0 + i / 2."""
@@ -230,7 +258,8 @@ def _assert_matches_oracle(cfg, n_rows, calls, t0):
         blk = kernel.sample(ours, n_rows, t_start=clock,
                             need_exp_integral=True)
         steps = [_draw_step(cfg, ref, float(c)) for c in clock]
-        got = np.c_[blk.tau, blk.nu, blk.zeta, blk.exp_integral]
+        got = np.c_[blk.tau, blk.nu, blk.premium - blk.claim,
+                    blk.exp_integral]
         want = [[s.tau, s.nu, s.zeta, s.exp_integral] for s in steps]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     for name in ("claims", "regime", "brownian"):
