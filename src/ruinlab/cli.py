@@ -26,11 +26,10 @@ import numpy as np
 from . import perpetuity as perp
 from .config_schema import load_experiment
 from .errors import ConfigError, HypothesisViolation, RuinlabError
-from .lundberg import lundberg_report
 from .engine import REL_TOL, StepKernel
 from .model import RngStreams
 from .ruin import barrier_level, bounds_check, estimate_psi_grid, fit_tail
-from .validate import run_suite
+# lundberg and validate load scipy: the commands that use them import them
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,6 +100,7 @@ def _intish(s: str) -> int:
 
 
 def cmd_lundberg(args) -> int:
+    from .lundberg import lundberg_report
     exp = load_experiment(args.config)
     report = lundberg_report(exp.model)
     doc = report.to_dict()
@@ -141,13 +141,14 @@ def cmd_ruin(args) -> int:
     block = exp.block("ruin")
     grid = ([float(x) for x in args.u.split(",")] if args.u
             else [float(x) for x in block.get("u_grid", [10, 30, 100, 300])])
-    n_paths = args.paths or block.get("n_paths", 100_000)
+    paths_flag = args.paths is not None
+    n_paths = args.paths if paths_flag else block.get("n_paths", 100_000)
     if any(u < 0 for u in grid):
         raise ConfigError("initial reserves must be >= 0",
                           "--u" if args.u else "$.ruin.u_grid")
     if n_paths < 100:
         raise ConfigError("need at least 100 paths",
-                          "--paths" if args.paths else "$.ruin.n_paths")
+                          "--paths" if paths_flag else "$.ruin.n_paths")
     max_steps = block.get("max_steps", 10_000)
     barrier_multiple = block.get("barrier_multiple", 1_000.0)
     if max_steps < 1:
@@ -189,13 +190,15 @@ def cmd_ruin(args) -> int:
 
 
 def cmd_perpetuity(args) -> int:
+    from .lundberg import lundberg_report
     exp = load_experiment(args.config)
     block = exp.block("perpetuity")
-    n = args.samples or block.get("samples", 100_000)
+    samples_flag = args.samples is not None
+    n = args.samples if samples_flag else block.get("samples", 100_000)
     if n < 10_000:
         raise ConfigError(
             "need at least 10,000 samples for the KS check",
-            "--samples" if args.samples else "$.perpetuity.samples")
+            "--samples" if samples_flag else "$.perpetuity.samples")
     n_max = block.get("n_max", perp.DEFAULT_N_MAX)
     if n_max < 1:
         raise ConfigError("need at least 1 term", "$.perpetuity.n_max")
@@ -264,6 +267,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validate import run_suite
     results = run_suite(args.suite, workers=args.workers)
     failed = [r for r in results if not r.passed]
     print(f"validate: {len(results) - len(failed)}/{len(results)} criteria "

@@ -57,11 +57,13 @@ def _take(obj: dict, path: str, known: dict, required: tuple):
     for key, kind in known.items():
         if key in obj:
             val = obj.pop(key)
+            # JSON's true and false load as bool, which Python counts as int
+            numeric = (isinstance(val, (int, float))
+                       and not isinstance(val, bool))
             # Python's json reads NaN and the infinities, which RFC 8259 lacks
-            if kind == "number" and not (isinstance(val, (int, float))
-                                         and math.isfinite(val)):
+            if kind == "number" and not (numeric and math.isfinite(val)):
                 raise ConfigError("expected a finite number", f"{path}.{key}")
-            if kind == "int" and not isinstance(val, int):
+            if kind == "int" and not (numeric and isinstance(val, int)):
                 raise ConfigError("expected an integer", f"{path}.{key}")
             if kind == "str" and not isinstance(val, str):
                 raise ConfigError("expected a string", f"{path}.{key}")

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DistributionError, NumericsWarning
 
@@ -350,6 +349,7 @@ class Distribution:
 
     def _quad_expectation(self, q: float) -> float:
         """Adaptive quadrature of E exp(qV) for the heavy-tailed kinds."""
+        from scipy import integrate     # only the lognormal and Pareto mgf
         lo, hi = self.support()
 
         def integrand(x):

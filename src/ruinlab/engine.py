@@ -48,7 +48,6 @@ no bridge normals, and the growth integral tau (e^L + 1) / 2 with L = -nu.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Union
 
@@ -357,6 +356,8 @@ def run_chunked(fn: Callable, total: int, seed: int, workers: int = 1,
     tasks = [(fn, int(seed), i, s, kwargs) for i, s in enumerate(sizes)]
     if workers <= 1 or len(tasks) == 1:
         return [_run_one_chunk(t) for t in tasks]
+    # imported here: multiprocessing costs every start-up that never pools
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one_chunk, tasks))
 

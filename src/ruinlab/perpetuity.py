@@ -54,7 +54,6 @@ from functools import partial
 from typing import Callable, Union
 
 import numpy as np
-from scipy import stats
 
 from .engine import (DEFAULT_CHUNK_SIZE, StepKernel, chain_pairs,
                      run_discounted_sup)
@@ -197,7 +196,18 @@ def ks_fixed_point(values_R: np.ndarray, pair_sampler: PairSampler,
     m, q = _fresh_pairs(pair_sampler, streams, n)
     perm = streams.regime.permutation(n)
     rhs = q + m * values_R[perm]
-    return float(stats.ks_2samp(values_R, rhs).statistic)
+    return _ks_statistic(values_R, rhs)
+
+
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest gap between the empirical CDFs of ``a`` and ``b`` over the
+    pooled sample: ``scipy.stats.ks_2samp``'s statistic as its asymptotic
+    mode forms it, which it uses for every sample above 10,000."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    gap = (np.searchsorted(a, pooled, side="right") / len(a)
+           - np.searchsorted(b, pooled, side="right") / len(b))
+    return float(np.max(np.abs(gap)))
 
 
 def goldie_constant(values_Z: np.ndarray, pair_sampler: PairSampler,

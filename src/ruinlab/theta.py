@@ -26,7 +26,6 @@ from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import zipf as _zipf
 
 from .distributions import Distribution
 from .errors import DistributionError, EstimationError
@@ -228,7 +227,8 @@ def _zeta_probs(p: float, zeta_p: float, j: np.ndarray) -> np.ndarray:
 
 
 def _zeta_sampler(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    return _zipf.rvs(p, size=n, random_state=rng)
+    # the draw scipy.stats.zipf.rvs makes, without importing scipy.stats
+    return rng.zipf(p, size=n)
 
 
 def zeta_regime_law(p: int) -> ThetaLaw:

@@ -217,8 +217,18 @@ def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
     ({"model": dict(BETA2["model"], premium={"mode": "constant",
                                             "c": math.nan})},
      ["ruin"], "$.model.premium.c"),
+    # an explicit zero is the flag's value, not a fall-back to the config's
+    ({"ruin": {"n_paths": 50}}, ["ruin", "--paths", "0"], "--paths"),
+    ({"perpetuity": {"samples": 5000}}, ["perpetuity", "--samples", "0"],
+     "--samples"),
+    # JSON's true and false are no numbers, though Python's bool is an int
+    ({"model": dict(BETA2["model"], claim={"kind": "exponential",
+                                          "rate": True})},
+     ["ruin"], "$.model.claim.rate"),
+    ({"seed": False}, ["ruin"], "$.seed"),
 ], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples",
-        "max_steps", "barrier_multiple", "n_max", "nan_rate", "nan_premium"])
+        "max_steps", "barrier_multiple", "n_max", "nan_rate", "nan_premium",
+        "paths_0", "samples_0", "bool_rate", "bool_seed"])
 def test_out_of_range_values_exit_2(tmp_path, capsys, extra, argv, field):
     cfg = write_cfg(tmp_path, dict(BETA2, **extra))
     assert main(argv + ["--config", cfg, "--workers", "1"]) == 2

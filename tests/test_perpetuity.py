@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from ruinlab import (Distribution, EstimationError, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, RngStreams,
@@ -10,6 +11,7 @@ from ruinlab import (Distribution, EstimationError, HypothesisViolation,
                      model_pair_sampler, qbar_pair_sampler, sample_R_values,
                      sample_Rbar_values)
 from ruinlab.engine import REL_TOL, StepKernel, run_discounted_sup
+from ruinlab.perpetuity import _ks_statistic
 from ruinlab.validate import classical_config
 from oracles import (PerpetuityPair, deterministic_pair_sampler,
                      iid_pair_sampler, sample_R)
@@ -210,6 +212,23 @@ class TestFixedPoint:
         ks_full = ks_fixed_point(full.values, sampler, 10)
         ks_stunted = ks_fixed_point(stunted.values, sampler, 10)
         assert ks_stunted > 5.0 * ks_full
+
+    @pytest.mark.parametrize("n", [10_001, 65_536, 200_000])
+    def test_statistic_matches_scipy_bit_for_bit(self, n):
+        # above 10,000 a sample ks_2samp forms the statistic in its
+        # asymptotic mode; rounding to 0.01 ties values within and across
+        # the two samples
+        rng = np.random.default_rng(n)
+        a = np.round(rng.standard_normal(n), 2)
+        b = np.round(1.01 * rng.standard_normal(n) + 0.01, 2)
+        assert _ks_statistic(a, b) == ks_2samp(a, b).statistic
+
+    def test_statistic_near_scipy_exact_mode(self):
+        # at 10,000 a sample ks_2samp is exact and rounds D to the 1/n grid
+        rng = np.random.default_rng(5)
+        a = np.round(rng.standard_normal(10_000), 2)
+        b = np.round(1.01 * rng.standard_normal(10_000) + 0.01, 2)
+        assert abs(_ks_statistic(a, b) - ks_2samp(a, b).statistic) <= 1e-15
 
 
 class TestGoldie:

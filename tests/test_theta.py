@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.special import zeta
+from scipy.stats import zipf
 
 from ruinlab import Distribution, DistributionError, ThetaLaw, zeta_regime_law
+from ruinlab.theta import _zeta_sampler
 
 
 def test_finite_validation():
@@ -61,6 +63,15 @@ def test_zeta_family_probabilities_and_points():
     e_mu, e_hs = law.mean()
     assert e_mu == pytest.approx(zeta(p + 1, 1) / zeta(p, 1), rel=1e-6)
     assert e_hs == pytest.approx(1.0 - e_mu, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_zeta_sampler_draws_as_scipy_zipf(p):
+    # numpy's zipf is the draw scipy.stats.zipf.rvs makes, bit for bit
+    got = _zeta_sampler(p, np.random.default_rng(11), 50_000)
+    want = zipf.rvs(p, size=50_000, random_state=np.random.default_rng(11))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_zeta_family_needs_p_at_least_2():
