@@ -120,16 +120,24 @@ def cmd_lundberg(args) -> int:
 
 def _check_ruin_hypotheses(model):
     """Certain-ruin regimes exit with a named violation instead of burning
-    paths on an estimate that converges to 1."""
+    paths on an estimate that converges to 1.  Without investment ruin is
+    certain when claims are not a.s. 0 and either the premium decays, so
+    it pays a finite total, or E xi >= c E tau while the increment
+    zeta = c tau - xi is not a.s. 0."""
     if model.has_investment:
         model.require_positive_drift()
         return
-    prem = model.premium
-    load = model.claim_dist.mean() - prem.c * model.interarrival_dist.mean()
+    prem, claim, tau = model.premium, model.claim_dist, model.interarrival_dist
+    if claim.support() == (0.0, 0.0):
+        return                          # no claims: the reserve never falls
+    t_lo, t_hi = tau.support()
+    zeta_zero = t_lo == t_hi and claim.support() == (prem.c * t_lo,) * 2
+    load = claim.mean() - prem.c * tau.mean()
     if prem.gamma_rate < 0.0:
         why = f"a decaying premium pays {prem.c / -prem.gamma_rate:.6g} in total"
-    elif load >= 0:
-        why = f"mean claim outflow exceeds premium inflow by {load:.6g} per interval"
+    elif load >= 0 and not zeta_zero:
+        why = (f"mean claim outflow minus premium inflow is {load:.6g} >= 0 "
+               "per interval")
     else:
         return
     raise HypothesisViolation("safety_loading", f"{why}; ruin is certain")

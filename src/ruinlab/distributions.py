@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,19 +48,17 @@ _KINDS = ("exponential", "gamma", "deterministic", "uniform", "discrete",
 
 @dataclass(frozen=True)
 class MgfEndpoint:
-    """Right endpoint q_V = sup{q : E exp(qV) < oo} and the MGF value at it.
+    """Right endpoint q_V = sup{q : E exp(qV) < oo} and the MGF's pole there.
 
-    ``phi_value`` is the MGF evaluated at ``q_max`` (``math.inf`` when the
-    MGF diverges there, which is the typical case for a finite endpoint).
-    When ``q_max`` is infinite the endpoint value is reported as ``inf``.
+    ``pole`` is (k, s) with E exp((q_V - h) V) = (s h)^-k for every h > 0:
+    (1, 1/rate) for exponential and (shape, scale) for gamma, the laws with
+    a finite endpoint where the MGF diverges; None for every other kind.
+    Written in the gap h, (s h)^-k keeps gaps that q_V - h would round away
+    below about 1e-16 q_V.
     """
 
     q_max: float
-    phi_value: float
-
-    @property
-    def finite_at_endpoint(self) -> bool:
-        return math.isfinite(self.phi_value)
+    pole: Optional[Tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -259,21 +257,50 @@ class Distribution:
                 # lognormal and pareto: no positive exponential moments
                 out = np.full(x.shape, math.inf)
                 for i in np.flatnonzero(x < 0):
-                    out[i] = self._quad_expectation(float(x[i]))
+                    out[i] = self.expect(
+                        lambda v, qi=float(x[i]): math.exp(qi * v))
         out[x == 0.0] = 1.0
         return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
 
     def mgf_endpoint(self) -> MgfEndpoint:
-        """q_V and the MGF value there (finite or ``inf``)."""
+        """q_V and the pole of the MGF there, if it has one."""
         k, p = self.kind, self.params
         if k == "exponential":
-            return MgfEndpoint(p[0], math.inf)
+            return MgfEndpoint(p[0], (1.0, 1.0 / p[0]))
         if k == "gamma":
-            return MgfEndpoint(1.0 / p[1], math.inf)
+            return MgfEndpoint(1.0 / p[1], p)
         if k in ("deterministic", "uniform", "discrete"):
-            return MgfEndpoint(math.inf, math.inf)
+            return MgfEndpoint(math.inf)
         # lognormal and pareto: no exponential moments, phi(0) = 1
-        return MgfEndpoint(0.0, 1.0)
+        return MgfEndpoint(0.0)
+
+    def atoms(self) -> Optional[Tuple[tuple, tuple]]:
+        """(values, probs) of a deterministic or discrete law; None for a
+        law with a density."""
+        if self.kind == "discrete":
+            return self.params
+        if self.kind == "deterministic":
+            return self.params, (1.0,)
+        return None
+
+    def expect(self, f: Callable[[float], float]) -> float:
+        """E f(V): atoms summed by ``math.fsum``, a density integrated by
+        adaptive quadrature.  A quadrature that hits its node cap warns with
+        ``NumericsWarning``; its value is then approximate."""
+        atoms = self.atoms()
+        if atoms is not None:
+            return math.fsum(w * f(v) for v, w in zip(*atoms))
+        from scipy import integrate     # kept off the import path
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            val = integrate.quad(lambda x: f(x) * float(self.pdf(x)),
+                                 *self.support(), epsabs=_QUAD_ABS_TOL,
+                                 limit=_QUAD_LIMIT)[0]
+        if any(issubclass(w.category, integrate.IntegrationWarning)
+               for w in caught):
+            warnings.warn("quadrature node cap hit; value is approximate",
+                          NumericsWarning, stacklevel=3)
+        return val
 
     def moment(self, p_order: float) -> float:
         """E V^p for p >= 0; ``math.inf`` when divergent."""
@@ -344,26 +371,6 @@ class Distribution:
             index, scale = p
             return np.where(x >= scale, index * scale ** index / x ** (index + 1.0), 0.0)
         raise DistributionError(f"{k} law has no density")
-
-    # -- internals -----------------------------------------------------------
-
-    def _quad_expectation(self, q: float) -> float:
-        """Adaptive quadrature of E exp(qV) for the heavy-tailed kinds."""
-        from scipy import integrate     # only the lognormal and Pareto mgf
-        lo, hi = self.support()
-
-        def integrand(x):
-            return math.exp(q * x) * float(self.pdf(x))
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            val, _ = integrate.quad(integrand, lo, hi,
-                                    epsabs=_QUAD_ABS_TOL, limit=_QUAD_LIMIT)
-        if any(issubclass(w.category, integrate.IntegrationWarning)
-               for w in caught):
-            warnings.warn("quadrature node cap hit; value is approximate",
-                          NumericsWarning, stacklevel=3)
-        return val
 
 
 def _real_power(v: float, p: float) -> float:

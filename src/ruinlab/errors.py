@@ -19,7 +19,8 @@ class HypothesisViolation(RuinlabError):
                                     in the no-investment model.
     * ``"mean_drift_positive"``   : the mean log-return of the investment
                                     account over one inter-claim interval is
-                                    not strictly positive.
+                                    not strictly positive, or there is no
+                                    investment (every multiplier is 1).
     * ``"interarrival_endpoint"`` : the inter-arrival law does not have a
                                     finite MGF endpoint with divergent MGF
                                     there, as the tangent-geometry analysis

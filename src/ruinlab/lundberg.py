@@ -21,10 +21,11 @@ Given a level a >= <u(q), Theta> on the support, the gap
 
 turns the integrand into g(H_q) = phi_tau(a - H_q).  For exponential and
 gamma inter-arrivals a is the MGF endpoint q_tau and g(h) = (s h)^-k exactly
-for every h > 0, k the pole order; for other laws a is the top level of the
-support and g(h) = phi_tau(a - h).  The ray <u(q), .> = q_tau sweeps toward
-the support as q grows and first touches it at q_plus; there the gap law
-has a mass exponent at 0, P(H <= h) ~ c h^rho, and E g(H) is finite iff
+for every h > 0, with the pole order k and scale s read off
+``MgfEndpoint.pole``; for other laws (``pole`` None) a is the top level of
+the support and g(h) = phi_tau(a - h).  The ray <u(q), .> = q_tau sweeps
+toward the support as q grows and first touches it at q_plus; there the gap
+law has a mass exponent at 0, P(H <= h) ~ c h^rho, and E g(H) is finite iff
 rho > k, whatever the support shape.  Below q_plus nothing touches, rho is
 infinite and the expectation is finite.  The zeta series is a countable
 gap law, summed by ``theta.countable_sum`` (an exact head and an
@@ -271,9 +272,10 @@ def _product_pieces(theta: ThetaLaw, q: float) -> Tuple[tuple, tuple]:
     for dist, scale, top in ((theta.dist_mu, q, False),
                              (theta.dist_halfsig2, q * (q + 1.0), True)):
         lo, hi = dist.support()
-        parts.append(scale * (hi - lo) if dist.kind == "uniform" else
+        atoms = dist.atoms()
+        parts.append(scale * (hi - lo) if atoms is None else
                      [(scale * (hi - v if top else v - lo), w)
-                      for v, w in zip(*_atoms(dist))])
+                      for v, w in zip(*atoms)])
     a, b = parts
     if isinstance(a, float) and isinstance(b, float):
         (w1, w2), c = sorted(parts), 1.0 / max(parts)
@@ -285,11 +287,6 @@ def _product_pieces(theta: ThetaLaw, q: float) -> Tuple[tuple, tuple]:
     return tuple((s + t, u * v) for s, u in a for t, v in b), ()
 
 
-def _atoms(dist: Distribution) -> tuple:
-    """(values, probs) of a deterministic or discrete law."""
-    return dist.params if dist.kind == "discrete" else (dist.params, (1.0,))
-
-
 # -- analytic phi_nu -------------------------------------------------------------
 
 def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
@@ -298,25 +295,18 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
     or touches it with rho <= k."""
     if q == 0.0:
         return 1.0
-    q_tau = tau_dist.mgf_endpoint().q_max
+    endpoint = tau_dist.mgf_endpoint()
+    q_tau, pole = endpoint.q_max, endpoint.pole
     pts = theta.candidate_points()
     top = float(np.max(_inner(q, pts[:, 0], pts[:, 1])))
     if top > q_tau + _TOUCH_TOL * max(1.0, q_tau):
         return math.inf
-    pole = tau_dist.kind in ("exponential", "gamma")
     a = q_tau if pole else top
     h_law = _build_h_law(theta, q, a, top)
-    if pole and h_law.rho <= _endpoint_pole(tau_dist)[0] + _DECAY_TOL:
+    if pole and h_law.rho <= pole[0] + _DECAY_TOL:
         return math.inf
-    g = _pole_fn(tau_dist) if pole else lambda h: tau_dist.mgf(a - h)
+    g = _pole_fn(pole) if pole else lambda h: tau_dist.mgf(a - h)
     return _gap_mean(h_law, g)
-
-
-def _expect_1d(dist: Distribution, f: Callable[[float], float]) -> float:
-    """E f(X): atoms summed, a density by ``_quad``."""
-    if dist.kind in ("deterministic", "discrete"):
-        return sum(w * f(v) for v, w in zip(*_atoms(dist)))
-    return _quad(lambda x: f(x) * float(dist.pdf(x)), *dist.support())
 
 
 def _quad(f: Callable[[float], float], a: float, b: float,
@@ -364,33 +354,22 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     ``_gap_mean``, bit for bit what ``phi_nu_analytic`` returns; ``delta``
     is ignored (old callers pass it).
     """
-    endpoint = tau_dist.mgf_endpoint()
-    if not math.isfinite(endpoint.q_max) or endpoint.finite_at_endpoint:
+    pole = tau_dist.mgf_endpoint().pole
+    if pole is None:
         raise HypothesisViolation(
             "interarrival_endpoint",
-            "the dichotomy applies when the inter-arrival MGF endpoint is "
-            "finite with a divergent value there")
+            "the dichotomy applies when the inter-arrival MGF has a pole at "
+            "a finite endpoint")
     h_law = geometry.h_law
-    if h_law.rho <= _endpoint_pole(tau_dist)[0] + _DECAY_TOL:
+    if h_law.rho <= pole[0] + _DECAY_TOL:
         return EndpointVerdict("endpoint_infinite", math.inf)
-    return EndpointVerdict("endpoint_finite",
-                           _gap_mean(h_law, _pole_fn(tau_dist)))
+    return EndpointVerdict("endpoint_finite", _gap_mean(h_law, _pole_fn(pole)))
 
 
-def _endpoint_pole(tau_dist) -> Tuple[float, float]:
-    """(k, s) with phi_tau(q_tau - h) = (s h)^-k: k is the pole order of the
-    MGF at its endpoint, 1 for exponential (s = 1/rate) and the shape for
-    gamma (s the scale), the only laws ``classify_endpoint`` accepts.  Taken
-    from the gap h itself, the value keeps gaps that q_tau - h would round
-    away below about 1e-16 q_tau."""
-    if tau_dist.kind == "exponential":
-        return 1.0, 1.0 / tau_dist.params[0]
-    return tau_dist.params
-
-
-def _pole_fn(tau_dist) -> Callable:
-    """h -> phi_tau(q_tau - h) = (s h)^-k, for scalars and arrays."""
-    k, scale = _endpoint_pole(tau_dist)
+def _pole_fn(pole: Tuple[float, float]) -> Callable:
+    """h -> phi_tau(q_tau - h) = (s h)^-k from the pole (k, s) of
+    ``MgfEndpoint``, for scalars and arrays."""
+    k, scale = pole
     return lambda h: (scale * h) ** -k
 
 
@@ -409,7 +388,7 @@ def _cell_mgf(regime: RegimeSpec, q: float, w: float) -> float:
     c = 0.5 * q * (q + 1.0) * w
     try:
         return (float(regime.mu_law.mgf(-q * w))
-                * _expect_1d(regime.sigma_law, lambda s: math.exp(c * s * s)))
+                * regime.sigma_law.expect(lambda s: math.exp(c * s * s)))
     except OverflowError:
         raise DistributionError(
             f"the one-cell transform M_q(w) overflows at q = {q:.6g}, "
@@ -440,18 +419,19 @@ def phi_nu_piecewise(regime: RegimeSpec, tau_dist: Distribution,
     h, m = regime.h, partial(_cell_mgf, regime, q)
     m_h = m(h)
     theta = math.log(m_h) / h
-    q_tau = tau_dist.mgf_endpoint().q_max
-    pole = tau_dist.kind in ("exponential", "gamma")
+    endpoint = tau_dist.mgf_endpoint()
+    q_tau, pole = endpoint.q_max, endpoint.pole
     slack = _TOUCH_TOL * max(1.0, q_tau)
     if theta > (q_tau - slack if pole else q_tau + slack):
         return math.inf
     cells = lambda t: max(1, math.ceil(t / h - 1e-12))
-    if tau_dist.kind in ("deterministic", "discrete"):
+    atoms = tau_dist.atoms()
+    if atoms is not None:
         return math.fsum(w * m_h ** (cells(t) - 1) * m(t - (cells(t) - 1) * h)
-                         for t, w in zip(*_atoms(tau_dist)))
+                         for t, w in zip(*atoms))
     law, tilt, k = tau_dist, 0.0, 1.0
     if pole:
-        k, scale = _endpoint_pole(tau_dist)
+        k, scale = pole
         law, tilt = Distribution.gamma(k, 1.0 / (1.0 / scale - theta)), theta
     step = (theta - tilt) * h               # log weight of one more cell
     ends = [t for t in law.support() if math.isfinite(t)]
@@ -514,8 +494,6 @@ def lundberg_report(config: ModelConfig, tol: float = 1e-10,
     and ``seed`` are accepted for old callers and ignored.
     """
     config.require_positive_drift()
-    if not config.has_investment:
-        raise DistributionError("nu degenerates without investment")
     regime, tau_dist = config.regime, config.interarrival_dist
     q_tau = tau_dist.mgf_endpoint().q_max
     geometry, q_nu = None, math.inf

@@ -183,10 +183,14 @@ class ModelConfig:
             e_hs = 0.5 * self.regime.sigma_law.moment(2.0)
         return (e_mu - e_hs) * e_tau
 
-    def require_positive_drift(self) -> Optional[float]:
-        """E K, after checking it is positive; None without investment."""
+    def require_positive_drift(self) -> float:
+        """E K, after checking it is positive.  Without investment every step
+        multiplier is 1, which this also rejects."""
         if self.regime is None:
-            return None
+            raise HypothesisViolation(
+                "mean_drift_positive",
+                "without investment every step multiplier is 1: the "
+                "log-return walk and the decay exponent do not exist")
         ek = self.expected_log_drift()
         if not ek > 0.0:
             raise HypothesisViolation(

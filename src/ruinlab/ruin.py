@@ -45,7 +45,7 @@ import numpy as np
 
 from .engine import (DEFAULT_CHUNK_SIZE, Z_95, StepKernel, chain_pairs,
                      run_discounted_sup, wilson_halfwidth)
-from .errors import EstimationError, HypothesisViolation
+from .errors import EstimationError
 from .model import ModelConfig
 
 __all__ = ["RuinEstimate", "TailFit", "ClassicalRuin", "estimate_psi_grid",
@@ -83,7 +83,6 @@ class BoundsCheck:
     ratio_min: float
     ratio_max: float
     spread: float
-    ratios: tuple                # (u, u^beta * psi_hat) pairs
 
 
 # -- chain engine ---------------------------------------------------------------
@@ -198,12 +197,11 @@ def fit_tail(estimates: Sequence[RuinEstimate]) -> TailFit:
 def bounds_check(beta: float, estimates: Sequence[RuinEstimate]) -> BoundsCheck:
     """Ratios r(u) = u^beta psi_hat(u); a bounded spread is the two-sided
     power-bound signature."""
-    ratios = [(e.u, e.u ** beta * e.psi_hat) for e in estimates if e.psi_hat > 0]
-    if not ratios:
+    vals = [e.u ** beta * e.psi_hat for e in estimates if e.psi_hat > 0]
+    if not vals:
         raise EstimationError("no positive estimates to form ratios")
-    vals = [r for _, r in ratios]
     return BoundsCheck(ratio_min=min(vals), ratio_max=max(vals),
-                       spread=max(vals) / min(vals), ratios=tuple(ratios))
+                       spread=max(vals) / min(vals))
 
 
 # -- random-walk maximum diagnostic --------------------------------------------------
@@ -226,10 +224,6 @@ def rw_max_diagnostic(config: ModelConfig, u_grid: Sequence[float],
         raise ValueError("need max_steps >= 1 and barrier_multiple > 1: the "
                          "walk drops ln(barrier_multiple)")
     config.require_positive_drift()
-    if not config.has_investment:
-        raise HypothesisViolation(
-            "mean_drift_positive",
-            "the log-return walk is degenerate without investment")
     run = run_discounted_sup(partial(_walk_pairs, StepKernel(config)),
                              n_paths, seed, workers, chunk_size,
                              n_max=max_steps, drop=math.log(barrier_multiple))

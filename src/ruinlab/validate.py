@@ -18,6 +18,7 @@ import numpy as np
 
 from . import perpetuity as perp
 from .distributions import Distribution
+from .engine import Z_95
 from .lundberg import (lundberg_report, phi_nu_analytic, q_plus_compute,
                        u_vector)
 from .model import ModelConfig, PremiumSpec, RegimeSpec
@@ -207,7 +208,7 @@ def criterion_fixed_point_sandwich(workers: Optional[int] = None,
     for e in ests:
         p_up = float(np.mean(r_vals > e.u))
         p_lo = float(np.mean(rbar_vals > e.u))
-        se_psi = e.ci_halfwidth / 1.96
+        se_psi = e.ci_halfwidth / Z_95
         se_up = math.sqrt(max(p_up * (1 - p_up), 1e-12) / len(r_vals))
         se_lo = math.sqrt(max(p_lo * (1 - p_lo), 1e-12) / len(rbar_vals))
         upper_ok = e.psi_hat <= p_up + 3.0 * math.hypot(se_psi, se_up)

@@ -182,6 +182,38 @@ def test_ruin_rejects_negative_loading(tmp_path, capsys):
     assert doc["condition"] == "safety_loading"
 
 
+@pytest.mark.parametrize("command", ["lundberg", "perpetuity"])
+def test_exponent_commands_need_investment(tmp_path, capsys, command):
+    # without investment every step multiplier is 1: no exponent, no R
+    bad = dict(BETA2, model=dict(BETA2["model"]))
+    del bad["model"]["regime"]
+    assert main([command, "--config", write_cfg(tmp_path, bad)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["condition"] == "mean_drift_positive"
+
+
+@pytest.mark.parametrize("claim,premium,interarrival", [
+    ({"kind": "deterministic", "value": 0.0}, {"mode": "zero"},
+     {"kind": "exponential", "rate": 1.0}),
+    ({"kind": "deterministic", "value": 0.0},
+     {"mode": "exponential_decay", "c1": 5.0, "gamma_rate": -0.01},
+     {"kind": "exponential", "rate": 1.0}),
+    ({"kind": "deterministic", "value": 0.5}, {"mode": "constant", "c": 0.25},
+     {"kind": "deterministic", "value": 2.0}),
+], ids=["no_claims", "no_claims_decaying_premium", "zero_increment"])
+def test_ruin_without_a_falling_reserve_runs(tmp_path, capsys, claim,
+                                             premium, interarrival):
+    # the increment c tau - xi is never negative, so psi = 0, not certain
+    # ruin, even where E xi >= c E tau or the premium decays
+    cfg = dict(BETA2, model={"claim": claim, "interarrival": interarrival,
+                             "premium": premium})
+    args = ["ruin", "--config", write_cfg(tmp_path, cfg), "--u", "1",
+            "--paths", "1000"]
+    assert main(args) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:2] == ["1", "0"]
+
+
 @pytest.mark.parametrize("premium", [
     {"mode": "zero"},
     {"mode": "exponential_decay", "c1": 5.0, "gamma_rate": -0.01},

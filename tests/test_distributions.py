@@ -113,12 +113,41 @@ class TestMgf:
 
     def test_endpoints(self):
         ep = Distribution.exponential(1.0).mgf_endpoint()
-        assert ep.q_max == 1.0 and math.isinf(ep.phi_value)
-        assert Distribution.deterministic(2.0).mgf_endpoint().q_max == math.inf
+        assert ep.q_max == 1.0 and ep.pole == (1.0, 1.0)
+        ep = Distribution.deterministic(2.0).mgf_endpoint()
+        assert ep.q_max == math.inf and ep.pole is None
         ep = Distribution.pareto(3.0, 1.0).mgf_endpoint()
-        assert ep.q_max == 0.0 and ep.phi_value == 1.0 and ep.finite_at_endpoint
+        assert ep.q_max == 0.0 and ep.pole is None
         ep = Distribution.gamma(3.0, 0.5).mgf_endpoint()
-        assert ep.q_max == 2.0 and not ep.finite_at_endpoint
+        assert ep.q_max == 2.0 and ep.pole == (3.0, 0.5)
+
+    @pytest.mark.parametrize("dist", ALL_KINDS + [
+        Distribution.exponential(2.5), Distribution.gamma(0.5, 2.0)],
+        ids=lambda d: d.kind)
+    def test_pole_is_the_mgf_near_its_endpoint(self, dist):
+        # phi(q_max - h) = (s h)^-k for every h > 0 on the laws with a pole
+        ep = dist.mgf_endpoint()
+        if dist.kind not in ("exponential", "gamma"):
+            assert ep.pole is None
+            return
+        k, s = ep.pole
+        for h in (1e-3 * ep.q_max, 0.5 * ep.q_max):
+            assert dist.mgf(ep.q_max - h) == pytest.approx((s * h) ** -k,
+                                                           rel=1e-12)
+
+    @pytest.mark.parametrize("dist,q,bits", [
+        (Distribution.lognormal(0.0, 0.5), -0.1, "0x1.c9f49dc5fb6bep-1"),
+        (Distribution.lognormal(0.0, 0.5), -1.0, "0x1.7ac035437f32dp-2"),
+        (Distribution.lognormal(0.0, 0.5), -3.0, "0x1.4c212df896236p-4"),
+        (Distribution.pareto(3.0, 1.0), -0.1, "0x1.b9f66f45e3fc4p-1"),
+        (Distribution.pareto(3.0, 1.0), -1.0, "0x1.08624c13d0ae8p-2"),
+        (Distribution.pareto(3.0, 1.0), -3.0, "0x1.78c08f6ee85a7p-6"),
+    ])
+    def test_heavy_tail_mgf_pinned(self, dist, q, bits):
+        # quadrature values of E exp(qV), q < 0, pinned bit for bit
+        want = float.fromhex(bits)
+        assert dist.mgf(q) == want
+        assert dist.mgf(np.array([q, 0.0])).tolist() == [want, 1.0]
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.kind)
     def test_infinite_beyond_endpoint(self, dist):
@@ -279,6 +308,29 @@ def test_uniform_mgf_near_zero_has_no_cancellation():
     for q in (1e-7, -3e-7, 1e-6):
         series = 1.0 + q * 1.25 + q * q * 5.25 / 6.0
         assert d.mgf(q) == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
+class TestLawFacts:
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.kind)
+    def test_atoms(self, dist):
+        want = {"deterministic": ((3.5,), (1.0,)),
+                "discrete": ((1.0, 2.0, 5.0), (0.25, 0.5, 0.25))}
+        assert dist.atoms() == want.get(dist.kind)
+
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.kind)
+    def test_expect_matches_mean_and_mgf(self, dist):
+        # the closed-form moments check the lognormal and Pareto mgf(q < 0),
+        # which is this same quadrature
+        rel = 1e-15 if dist.atoms() is not None else 1e-9
+        assert dist.expect(lambda v: v) == pytest.approx(dist.mean(), rel=rel)
+        assert dist.expect(lambda v: v * v) == pytest.approx(dist.moment(2.0),
+                                                             rel=rel)
+        assert dist.expect(lambda v: math.exp(-0.5 * v)) == pytest.approx(
+            dist.mgf(-0.5), rel=rel)
+
+    def test_expect_sums_atoms_exactly(self):
+        d = Distribution.discrete([(1.0, 0.5), (1e16, 0.25), (-1e16, 0.25)])
+        assert d.expect(lambda v: v) == 0.5
 
 
 class TestMoments:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
-from ruinlab import (Distribution, DistributionError, HypothesisViolation,
+from ruinlab import (Distribution, HypothesisViolation,
                      ModelConfig, PremiumSpec, RegimeSpec, ThetaLaw,
                      lundberg_report, phi_nu_analytic, q_plus_compute,
                      sample_nu, classify_endpoint, u_vector,
@@ -673,5 +673,6 @@ class TestSolveBeta:
     def test_no_investment_raises(self):
         cfg = ModelConfig(claim_dist=EXP1, interarrival_dist=EXP1,
                           premium=PremiumSpec(2.0))
-        with pytest.raises(DistributionError, match="without investment"):
+        with pytest.raises(HypothesisViolation) as err:
             lundberg_report(cfg)
+        assert err.value.condition == "mean_drift_positive"

@@ -81,9 +81,12 @@ class TestDrift:
         assert err.value.condition == "mean_drift_positive"
 
     def test_classical_has_no_drift_notion(self):
+        # without investment every multiplier is 1: no walk, no exponent
         cfg = beta2_cfg(regime=None, premium=PremiumSpec(0.1))
         assert cfg.expected_log_drift() == 0.0
-        assert cfg.require_positive_drift() is None
+        with pytest.raises(HypothesisViolation) as err:
+            cfg.require_positive_drift()
+        assert err.value.condition == "mean_drift_positive"
 
 
 class TestDraws:

@@ -199,20 +199,6 @@ def test_walk_rejects_silent_stop_settings(setting):
         rw_max_diagnostic(beta2_cfg(), [10.0], 1000, seed=1, **setting)
 
 
-class TestAsymptoticRegime:
-    def test_power_law_emerges_at_large_reserves(self):
-        # the decay-exponent prediction is asymptotic; on a grid shifted
-        # past the pre-asymptotic body the fitted slope reaches the
-        # two-sided band and the ratio u^2 psi stabilizes
-        grid = [300.0, 600.0, 1200.0, 2400.0]
-        ests = estimate_psi_grid(grid, beta2_cfg(), 600_000, seed=42,
-                                 workers=2)
-        fit = fit_tail(ests)
-        assert -2.4 <= fit.slope <= -1.6, fit
-        bc = bounds_check(2.0, ests)
-        assert bc.spread <= 4.0, bc
-
-
 def test_non_finite_path_is_counted_apart(monkeypatch):
     # a NaN increment stops its path, which reads as neither ruined nor
     # censored nor survived but as non-finite

@@ -1,8 +1,9 @@
 """Start-up budget: the Monte Carlo path loads numpy, never scipy.
 
-``import ruinlab``, a config load and ``import ruinlab.cli`` run in a fresh
-interpreter, since this one has scipy loaded already (the test modules and
-pytest's warning filters import it).
+``import ruinlab``, a config load with the MGF endpoint and atoms of each
+of its laws, and ``import ruinlab.cli`` run in a fresh interpreter, since
+this one has scipy loaded already (the test modules and pytest's warning
+filters import it).
 """
 
 import json
@@ -19,8 +20,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBE = """
 import json, sys
 import ruinlab
-ruinlab.load_experiment("configs/beta2.json")
-ruinlab.load_experiment("configs/golden.json")
+for path in ("configs/beta2.json", "configs/golden.json"):
+    model = ruinlab.load_experiment(path).model
+    for law in (model.claim_dist, model.interarrival_dist):
+        law.mgf_endpoint(), law.atoms()
 import ruinlab.cli
 print(json.dumps(sorted(sys.modules)))
 """
