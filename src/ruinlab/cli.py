@@ -99,6 +99,15 @@ def _intish(s: str) -> int:
     return int(float(s))
 
 
+def _floats(text: str) -> List[float]:
+    """The comma-separated numbers of ``text``, or [nan], which no range
+    admits, if an entry is not a number."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        return [math.nan]
+
+
 def cmd_lundberg(args) -> int:
     from .lundberg import lundberg_report
     exp = load_experiment(args.config)
@@ -147,12 +156,12 @@ def cmd_ruin(args) -> int:
     exp = load_experiment(args.config)
     _check_ruin_hypotheses(exp.model)
     block = exp.block("ruin")
-    grid = ([float(x) for x in args.u.split(",")] if args.u
+    grid = (_floats(args.u) if args.u
             else [float(x) for x in block.get("u_grid", [10, 30, 100, 300])])
     paths_flag = args.paths is not None
     n_paths = args.paths if paths_flag else block.get("n_paths", 100_000)
-    if any(u < 0 for u in grid):
-        raise ConfigError("initial reserves must be >= 0",
+    if not all(0 <= u < math.inf for u in grid):
+        raise ConfigError("initial reserves must be finite numbers >= 0",
                           "--u" if args.u else "$.ruin.u_grid")
     if n_paths < 100:
         raise ConfigError("need at least 100 paths",
@@ -215,7 +224,7 @@ def cmd_perpetuity(args) -> int:
     report = lundberg_report(cfg)
     if report.beta is None:
         raise HypothesisViolation(
-            "mean_drift_positive",
+            "decay_exponent",
             "no decay exponent exists for this configuration; the "
             "perpetuity tail constant is undefined")
     sampler = perp.model_pair_sampler(cfg)

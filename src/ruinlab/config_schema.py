@@ -1,15 +1,19 @@
 """Experiment configuration parsing: strict JSON schema to model objects.
 
-Unknown keys are rejected everywhere and every parse error names the
-offending dotted field path.  ``version`` is mandatory for forward
-compatibility.
+``_value`` reads a value against a spec: ``NUM`` (a finite number, not a
+bool), ``INT``, ``STR``, a parser ``(val, path) -> value``, ``[spec]`` (a
+list of any length) or a tuple of specs (a list of that length).  A law's
+or coefficient law's ``kind`` and a regime's or premium's ``mode`` name a
+row ``(field spec, constructor)`` of a table.  Unknown keys are rejected,
+``version`` is mandatory, and every error names its path, list elements
+included (``$.model.claim.atoms[0][0]``).
 """
 
 from __future__ import annotations
 
 import json
-import math
-from typing import Optional
+import sys
+from dataclasses import dataclass
 
 from .distributions import Distribution
 from .errors import ConfigError, DistributionError
@@ -20,200 +24,152 @@ __all__ = ["parse_experiment", "load_experiment", "ExperimentConfig"]
 
 SCHEMA_VERSION = 1
 
-_DIST_FIELDS = {
-    "exponential": ("rate",),
-    "gamma": ("shape", "scale"),
-    "deterministic": ("value",),
-    "uniform": ("lo", "hi"),
-    "discrete": ("atoms",),
-    "lognormal": ("mu", "sigma"),
-    "pareto": ("index", "scale"),
-}
+NUM, INT, STR = "a finite number", "an integer", "a string"
 
 
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed experiment file: model plus per-command option blocks."""
 
-    def __init__(self, model: ModelConfig, seed: int, blocks: dict,
-                 output: Optional[dict]):
-        self.model = model
-        self.seed = seed
-        self.blocks = blocks
-        self.output = output
+    model: ModelConfig
+    seed: int
+    blocks: dict
+    output: dict | None
 
     def block(self, name: str) -> dict:
         return dict(self.blocks.get(name, {}))
 
 
-def _expect_mapping(obj, path):
+def _value(val, spec, path):
+    """``val`` read against ``spec`` (see the module docstring)."""
+    if isinstance(spec, (list, tuple)):
+        exact = isinstance(spec, tuple)
+        if not isinstance(val, list) or exact and len(val) != len(spec):
+            raise ConfigError(f"expected a list of {len(spec)}" if exact
+                              else "expected a list", path)
+        out = [_value(v, s, f"{path}[{i}]") for i, (v, s)
+               in enumerate(zip(val, spec if exact else spec * len(val)))]
+        return tuple(out) if exact else out
+    if callable(spec):
+        return spec(val, path)
+    # JSON's true and false load as bool, which Python counts as int
+    numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
+    # Python's json reads NaN, the infinities and integers past any float
+    if not (isinstance(val, str) if spec is STR else numeric and (
+            isinstance(val, int) if spec is INT
+            else abs(val) <= sys.float_info.max)):
+        raise ConfigError(f"expected {spec}", path)
+    return val
+
+
+def _fields(obj, path, spec, optional=()):
+    """The fields of ``obj`` present, read in ``spec`` order; every key not
+    in ``optional`` is required and no other key is allowed."""
     if not isinstance(obj, dict):
         raise ConfigError("expected an object", path)
-    return obj
-
-
-def _take(obj: dict, path: str, known: dict, required: tuple):
-    """Pop known keys with type checks; reject anything left over."""
     out = {}
-    for key, kind in known.items():
+    for key, field in spec.items():
         if key in obj:
-            val = obj.pop(key)
-            # JSON's true and false load as bool, which Python counts as int
-            numeric = (isinstance(val, (int, float))
-                       and not isinstance(val, bool))
-            # Python's json reads NaN and the infinities, which RFC 8259 lacks
-            if kind == "number" and not (numeric and math.isfinite(val)):
-                raise ConfigError("expected a finite number", f"{path}.{key}")
-            if kind == "int" and not (numeric and isinstance(val, int)):
-                raise ConfigError("expected an integer", f"{path}.{key}")
-            if kind == "str" and not isinstance(val, str):
-                raise ConfigError("expected a string", f"{path}.{key}")
-            if kind == "list" and not isinstance(val, list):
-                raise ConfigError("expected a list", f"{path}.{key}")
-            out[key] = val
-    for key in required:
-        if key not in out:
+            out[key] = _value(obj[key], field, f"{path}.{key}")
+        elif key not in optional:
             raise ConfigError("missing required field", f"{path}.{key}")
-    if obj:
-        raise ConfigError(f"unknown keys {sorted(obj)}", path)
+    unknown = sorted(set(obj) - set(spec))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}", path)
     return out
 
 
-def _parse_dist(obj, path) -> Distribution:
-    obj = dict(_expect_mapping(obj, path))
-    kind = obj.pop("kind", None)
-    if kind not in _DIST_FIELDS:
-        raise ConfigError(f"unknown distribution kind {kind!r}", f"{path}.kind")
-    fields = _DIST_FIELDS[kind]
-    spec = {f: ("list" if f == "atoms" else "number") for f in fields}
-    vals = _take(obj, path, spec, fields)
+def _build(make, vals: dict, path):
+    """``make(*vals)``, its ``DistributionError`` a config error at path."""
     try:
-        if kind == "discrete":
-            atoms = vals["atoms"]
-            if not all(isinstance(a, list) and len(a) == 2 for a in atoms):
-                raise ConfigError("atoms must be [value, prob] pairs",
-                                  f"{path}.atoms")
-            return Distribution.discrete([(a[0], a[1]) for a in atoms])
-        return getattr(Distribution, kind)(*[vals[f] for f in fields])
+        return make(*vals.values())
     except DistributionError as exc:
         raise ConfigError(str(exc), path) from exc
 
 
-def _parse_theta(obj, path) -> ThetaLaw:
-    obj = dict(_expect_mapping(obj, path))
-    kind = obj.pop("kind", None)
-    try:
-        if kind == "point":
-            vals = _take(obj, path, {"mu": "number", "half_sigma2": "number"},
-                         ("mu", "half_sigma2"))
-            return ThetaLaw.point_mass(vals["mu"], vals["half_sigma2"])
-        if kind == "finite":
-            vals = _take(obj, path, {"atoms": "list"}, ("atoms",))
-            atoms = []
-            for i, a in enumerate(vals["atoms"]):
-                if (not isinstance(a, list) or len(a) != 2
-                        or not isinstance(a[0], list) or len(a[0]) != 2):
-                    raise ConfigError("atoms must be [[mu, half_sigma2], prob]",
-                                      f"{path}.atoms[{i}]")
-                atoms.append(((a[0][0], a[0][1]), a[1]))
-            return ThetaLaw.finite(atoms)
-        if kind == "polytope_uniform":
-            vals = _take(obj, path, {"vertices": "list"}, ("vertices",))
-            return ThetaLaw.polytope_uniform(
-                [(v[0], v[1]) for v in vals["vertices"]])
-        if kind == "product":
-            vals = _take(obj, path, {"mu": "obj", "half_sigma2": "obj"},
-                         ("mu", "half_sigma2"))
-            return ThetaLaw.product(_parse_dist(vals["mu"], f"{path}.mu"),
-                                    _parse_dist(vals["half_sigma2"],
-                                                f"{path}.half_sigma2"))
-        if kind == "zeta":
-            vals = _take(obj, path, {"p": "int"}, ("p",))
-            return zeta_regime_law(vals["p"])
-    except DistributionError as exc:
-        raise ConfigError(str(exc), path) from exc
-    raise ConfigError(f"unknown coefficient-law kind {kind!r}", f"{path}.kind")
+def _tagged(tag, what, table):
+    """A parser for objects whose ``tag`` field names a row of ``table``."""
+    def parse(obj, path):
+        if not isinstance(obj, dict):
+            raise ConfigError("expected an object", path)
+        rest = dict(obj)
+        name = rest.pop(tag, None)
+        if not isinstance(name, str) or name not in table:
+            raise ConfigError(f"unknown {what} {name!r}", f"{path}.{tag}")
+        spec, make = table[name]
+        return _build(make, _fields(rest, path, spec), path)
+    return parse
 
 
-def _parse_regime(obj, path) -> Optional[RegimeSpec]:
-    if obj is None:
-        return None
-    obj = dict(_expect_mapping(obj, path))
-    mode = obj.pop("mode", None)
-    if mode == "none":
-        if obj:
-            raise ConfigError(f"unknown keys {sorted(obj)}", path)
-        return None
-    if mode == "constant":
-        vals = _take(obj, path, {"theta": "obj"}, ("theta",))
-        return RegimeSpec.constant(_parse_theta(vals["theta"], f"{path}.theta"))
-    if mode == "piecewise":
-        vals = _take(obj, path, {"h": "number", "mu": "obj", "sigma": "obj"},
-                     ("h", "mu", "sigma"))
-        return RegimeSpec.piecewise(vals["h"],
-                                    _parse_dist(vals["mu"], f"{path}.mu"),
-                                    _parse_dist(vals["sigma"], f"{path}.sigma"))
-    raise ConfigError(f"unknown regime mode {mode!r}", f"{path}.mode")
+_DIST = {
+    "exponential": ({"rate": NUM}, Distribution.exponential),
+    "gamma": ({"shape": NUM, "scale": NUM}, Distribution.gamma),
+    "deterministic": ({"value": NUM}, Distribution.deterministic),
+    "uniform": ({"lo": NUM, "hi": NUM}, Distribution.uniform),
+    "discrete": ({"atoms": [(NUM, NUM)]}, Distribution.discrete),
+    "lognormal": ({"mu": NUM, "sigma": NUM}, Distribution.lognormal),
+    "pareto": ({"index": NUM, "scale": NUM}, Distribution.pareto),
+}
+_dist = _tagged("kind", "distribution kind", _DIST)
+
+_THETA = {
+    "point": ({"mu": NUM, "half_sigma2": NUM}, ThetaLaw.point_mass),
+    "finite": ({"atoms": [((NUM, NUM), NUM)]}, ThetaLaw.finite),
+    "polytope_uniform": ({"vertices": [(NUM, NUM)]},
+                         ThetaLaw.polytope_uniform),
+    "product": ({"mu": _dist, "half_sigma2": _dist}, ThetaLaw.product),
+    "zeta": ({"p": INT}, zeta_regime_law),
+}
+
+_REGIME = {
+    "none": ({}, lambda: None),
+    "constant": ({"theta": _tagged("kind", "coefficient-law kind", _THETA)},
+                 RegimeSpec.constant),
+    "piecewise": ({"h": NUM, "mu": _dist, "sigma": _dist},
+                  RegimeSpec.piecewise),
+}
+_regime = _tagged("mode", "regime mode", _REGIME)
+
+_PREMIUM = {
+    "zero": ({}, PremiumSpec),
+    "constant": ({"c": NUM}, PremiumSpec),
+    "exponential_decay": ({"c1": NUM, "gamma_rate": NUM}, PremiumSpec),
+}
+
+_MODEL = {
+    "claim": _dist, "interarrival": _dist,
+    "premium": _tagged("mode", "premium mode", _PREMIUM),
+    # an absent or null regime is the no-investment baseline
+    "regime": lambda val, path: None if val is None else _regime(val, path),
+}
 
 
-def _parse_premium(obj, path) -> PremiumSpec:
-    obj = dict(_expect_mapping(obj, path))
-    mode = obj.pop("mode", None)
-    try:
-        if mode == "constant":
-            vals = _take(obj, path, {"c": "number"}, ("c",))
-            return PremiumSpec(vals["c"])
-        if mode == "zero":
-            if obj:
-                raise ConfigError(f"unknown keys {sorted(obj)}", path)
-            return PremiumSpec()
-        if mode == "exponential_decay":
-            vals = _take(obj, path, {"c1": "number", "gamma_rate": "number"},
-                         ("c1", "gamma_rate"))
-            return PremiumSpec(vals["c1"], vals["gamma_rate"])
-    except DistributionError as exc:
-        raise ConfigError(str(exc), path) from exc
-    raise ConfigError(f"unknown premium mode {mode!r}", f"{path}.mode")
+def _version(val, path):
+    if _value(val, INT, path) != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported version {val}", path)
+    return val
+
+
+def _block(spec):
+    return lambda val, path: _fields(val, path, spec, optional=spec)
+
+
+_TOP = {
+    "version": _version, "seed": INT,
+    "model": lambda val, path: _build(
+        ModelConfig, _fields(val, path, _MODEL, optional=("regime",)), path),
+    "ruin": _block({"u_grid": [NUM], "n_paths": INT, "max_steps": INT,
+                    "barrier_multiple": NUM}),
+    "perpetuity": _block({"samples": INT, "n_max": INT}),
+    "output": lambda val, path: _fields(val, path, {"path": STR}),
+}
 
 
 def parse_experiment(doc: dict) -> ExperimentConfig:
-    doc = dict(_expect_mapping(doc, "$"))
-    top = _take(doc, "$", {
-        "version": "int", "seed": "int", "model": "obj", "ruin": "obj",
-        "perpetuity": "obj", "output": "obj",
-    }, ("version", "model"))
-    if top["version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported version {top['version']}", "$.version")
-    m = dict(_expect_mapping(top["model"], "$.model"))
-    regime_raw = m.pop("regime", None)
-    mvals = _take(m, "$.model", {
-        "claim": "obj", "interarrival": "obj", "premium": "obj",
-    }, ("claim", "interarrival", "premium"))
-    try:
-        model = ModelConfig(
-            claim_dist=_parse_dist(mvals["claim"], "$.model.claim"),
-            interarrival_dist=_parse_dist(mvals["interarrival"],
-                                          "$.model.interarrival"),
-            premium=_parse_premium(mvals["premium"], "$.model.premium"),
-            regime=_parse_regime(regime_raw, "$.model.regime"),
-        )
-    except DistributionError as exc:
-        raise ConfigError(str(exc), "$.model") from exc
-    blocks = {}
-    _BLOCK_FIELDS = {
-        "ruin": {"u_grid": "list", "n_paths": "int", "max_steps": "int",
-                 "barrier_multiple": "number"},
-        "perpetuity": {"samples": "int", "n_max": "int"},
-    }
-    for name, fields in _BLOCK_FIELDS.items():
-        if name in top:
-            blocks[name] = _take(dict(_expect_mapping(top[name], f"$.{name}")),
-                                 f"$.{name}", fields, ())
-    output = None
-    if "output" in top:
-        output = _take(dict(_expect_mapping(top["output"], "$.output")),
-                       "$.output", {"path": "str"}, ("path",))
-    return ExperimentConfig(model=model, seed=top.get("seed", 0),
-                            blocks=blocks, output=output)
+    top = _fields(doc, "$", _TOP, optional=set(_TOP) - {"version", "model"})
+    blocks = {k: top[k] for k in ("ruin", "perpetuity") if k in top}
+    return ExperimentConfig(top["model"], top.get("seed", 0), blocks,
+                            top.get("output"))
 
 
 def load_experiment(path: str) -> ExperimentConfig:

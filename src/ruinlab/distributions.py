@@ -286,7 +286,8 @@ class Distribution:
     def expect(self, f: Callable[[float], float]) -> float:
         """E f(V): atoms summed by ``math.fsum``, a density integrated by
         adaptive quadrature.  A quadrature that hits its node cap warns with
-        ``NumericsWarning``; its value is then approximate."""
+        ``NumericsWarning``; its value is then approximate.  The warnings of
+        ``f`` pass through on either route."""
         atoms = self.atoms()
         if atoms is not None:
             return math.fsum(w * f(v) for v, w in zip(*atoms))
@@ -296,6 +297,10 @@ class Distribution:
             val = integrate.quad(lambda x: f(x) * float(self.pdf(x)),
                                  *self.support(), epsabs=_QUAD_ABS_TOL,
                                  limit=_QUAD_LIMIT)[0]
+        for w in caught:
+            if not issubclass(w.category, integrate.IntegrationWarning):
+                warnings.warn_explicit(w.message, w.category, w.filename,
+                                       w.lineno, source=w.source)
         if any(issubclass(w.category, integrate.IntegrationWarning)
                for w in caught):
             warnings.warn("quadrature node cap hit; value is approximate",

@@ -25,6 +25,9 @@ class HypothesisViolation(RuinlabError):
                                     finite MGF endpoint with divergent MGF
                                     there, as the tangent-geometry analysis
                                     requires.
+    * ``"decay_exponent"``        : the drift is positive but phi_nu stays
+                                    at or below 1 up to its endpoint, so no
+                                    decay exponent beta exists.
     """
 
     def __init__(self, condition: str, message: str):

@@ -108,7 +108,7 @@ class ThetaLaw:
 
     @classmethod
     def polytope_uniform(cls, vertices: Sequence[Point]) -> "ThetaLaw":
-        verts = _order_convex(vertices)
+        verts = _order_convex(vertices) if len(vertices) else ()
         if len(verts) < 3:
             raise DistributionError("polytope needs at least 3 vertices")
         return cls("polytope_uniform", vertices=verts)

@@ -171,6 +171,15 @@ def test_hypothesis_violation_exit_code(tmp_path, capsys):
     assert doc["condition"] == "mean_drift_positive"
 
 
+def test_perpetuity_without_exponent_names_it(capsys):
+    # zeta p = 4 drifts up (E K = 0.916), but phi_nu stays below 1 up to its
+    # endpoint: the drift holds and the exponent is what is missing
+    assert main(["perpetuity", "--config", str(GOLDEN_CONFIG)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "hypothesis_violation"
+    assert doc["condition"] == "decay_exponent"
+
+
 def test_ruin_rejects_negative_loading(tmp_path, capsys):
     bad = dict(BETA2)
     bad["model"] = dict(BETA2["model"])
@@ -258,9 +267,14 @@ def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
                                           "rate": True})},
      ["ruin"], "$.model.claim.rate"),
     ({"seed": False}, ["ruin"], "$.seed"),
+    # every --u entry is a finite number, as every u_grid element is
+    ({}, ["ruin", "--u", "5,abc"], "--u"),
+    ({}, ["ruin", "--u", "nan,30"], "--u"),
+    ({}, ["ruin", "--u", "inf"], "--u"),
 ], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples",
         "max_steps", "barrier_multiple", "n_max", "nan_rate", "nan_premium",
-        "paths_0", "samples_0", "bool_rate", "bool_seed"])
+        "paths_0", "samples_0", "bool_rate", "bool_seed", "u_text", "u_nan",
+        "u_inf"])
 def test_out_of_range_values_exit_2(tmp_path, capsys, extra, argv, field):
     cfg = write_cfg(tmp_path, dict(BETA2, **extra))
     assert main(argv + ["--config", cfg, "--workers", "1"]) == 2

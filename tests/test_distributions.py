@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,17 @@ class TestLawFacts:
                                                              rel=rel)
         assert dist.expect(lambda v: math.exp(-0.5 * v)) == pytest.approx(
             dist.mgf(-0.5), rel=rel)
+
+    @pytest.mark.parametrize("dist", [
+        Distribution.uniform(0.0, 1.0),
+        Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])],
+        ids=["uniform", "two_atoms"])
+    def test_expect_passes_the_warnings_of_f(self, dist):
+        def f(v):
+            warnings.warn("f warns", RuntimeWarning)
+            return v
+        with pytest.warns(RuntimeWarning, match="f warns"):
+            assert dist.expect(f) == pytest.approx(0.5)
 
     def test_expect_sums_atoms_exactly(self):
         d = Distribution.discrete([(1.0, 0.5), (1e16, 0.25), (-1e16, 0.25)])

@@ -56,7 +56,7 @@ class TestIncreasing:
         def sampler(streams, t):
             m, q, tau = base(streams, t)
             calls.append(len(t))
-            if len(calls) == 3:          # call 1 is the contraction pilot
+            if len(calls) == 2:          # the second term of every row
                 q[0] = np.nan
             return m, q, tau
         batch = sample_R_values(sampler, 1000, seed=2)
@@ -85,10 +85,27 @@ class TestIncreasing:
             sample_Rbar_values(beta2_cfg(), 1000, seed=1, **setting)
 
     def test_divergent_multiplier_rejected(self):
-        bad = deterministic_pair_sampler(PerpetuityPair(1.5, 1.0))
-        with pytest.raises(HypothesisViolation) as err:
-            sample_R_values(bad, 1000, seed=1)
-        assert err.value.condition == "mean_drift_positive"
+        # E K = (0.02 - 0.025) E tau < 0, so E ln M = -E K > 0: neither
+        # factory hands out a sampler whose perpetuity diverges
+        bad = replace(beta2_cfg(), regime=RegimeSpec.constant(
+            ThetaLaw.point_mass(0.02, 0.025)))
+        for factory in (model_pair_sampler, qbar_pair_sampler):
+            with pytest.raises(HypothesisViolation) as err:
+                factory(bad)
+            assert err.value.condition == "mean_drift_positive"
+
+    @pytest.mark.parametrize("mu", [0.025, 0.021], ids=["EK_0.005",
+                                                        "EK_0.001"])
+    @pytest.mark.parametrize("sample", [
+        lambda cfg: sample_R_values(model_pair_sampler(cfg), 1000, seed=1),
+        lambda cfg: sample_Rbar_values(cfg, 1000, seed=1)],
+        ids=["R", "R_bar"])
+    def test_small_positive_drift_runs(self, sample, mu):
+        # E ln M = -E K < 0 exactly, however small E K, so the chain
+        # contracts where a sampled E ln M + 3 SE can read >= 0
+        batch = sample(replace(beta2_cfg(), regime=RegimeSpec.constant(
+            ThetaLaw.point_mass(mu, 0.02))))
+        assert batch.discard_rate == 0.0 and not batch.non_finite.any()
 
     @pytest.mark.parametrize("sample", [
         lambda cfg: sample_R_values(model_pair_sampler(cfg), 1000, seed=1),
