@@ -1,10 +1,7 @@
 """ruinlab: ruin-probability numerics for randomly switched investment returns.
 
-``import ruinlab`` loads numpy alone.  The names re-exported from
-``ruinlab.lundberg``, whose root finder and quadrature need scipy, resolve
-on first use: HLaw, LundbergReport, TangentGeometry, EndpointVerdict,
-lundberg_report, phi_nu_analytic, phi_nu_piecewise, q_plus_compute,
-sample_nu, classify_endpoint and u_vector.
+The package needs numpy alone: the analytic route carries its own Brent
+root finder (``lundberg``) and Gauss-Kronrod quadrature (``distributions``).
 """
 
 from .distributions import Distribution, MgfEndpoint
@@ -19,21 +16,8 @@ from .ruin import (BoundsCheck, ClassicalRuin, RuinEstimate, TailFit,
                    bounds_check, classical_psi, estimate_psi_grid,
                    fit_tail, rw_max_diagnostic)
 from .config_schema import ExperimentConfig, load_experiment, parse_experiment
+from .lundberg import (EndpointVerdict, HLaw, LundbergReport, TangentGeometry,
+                       classify_endpoint, lundberg_report, phi_nu_analytic,
+                       phi_nu_piecewise, q_plus_compute, sample_nu, u_vector)
 
 __version__ = "0.1.0"
-
-_LUNDBERG_NAMES = ("HLaw", "LundbergReport", "TangentGeometry",
-                   "EndpointVerdict", "lundberg_report", "phi_nu_analytic",
-                   "phi_nu_piecewise", "q_plus_compute", "sample_nu",
-                   "classify_endpoint", "u_vector")
-
-
-def __getattr__(name):
-    if name in _LUNDBERG_NAMES:
-        from . import lundberg
-        return getattr(lundberg, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_LUNDBERG_NAMES})

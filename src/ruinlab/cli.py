@@ -24,12 +24,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import perpetuity as perp
-from .config_schema import load_experiment
+from .config_schema import load_experiment, read_seed
 from .errors import ConfigError, HypothesisViolation, RuinlabError
 from .engine import REL_TOL, StepKernel
+from .lundberg import lundberg_report
 from .model import RngStreams
 from .ruin import barrier_level, bounds_check, estimate_psi_grid, fit_tail
-# lundberg and validate load scipy: the commands that use them import them
+from .validate import run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,11 +80,17 @@ def _csv_cell(v) -> str:
 
 
 def _resolve_seed(args, exp) -> int:
+    """``--seed``, else ``RUINLAB_SEED``, else the config's seed, each read
+    by the schema's seed rule."""
     if args.seed is not None:
-        return args.seed
+        return read_seed(args.seed, "--seed")
     env = os.environ.get("RUINLAB_SEED")
     if env is not None:
-        return int(env)
+        try:
+            env = int(env)
+        except ValueError:
+            pass                        # the rule rejects the string
+        return read_seed(env, "RUINLAB_SEED")
     return exp.seed
 
 
@@ -109,7 +116,6 @@ def _floats(text: str) -> List[float]:
 
 
 def cmd_lundberg(args) -> int:
-    from .lundberg import lundberg_report
     exp = load_experiment(args.config)
     report = lundberg_report(exp.model)
     doc = report.to_dict()
@@ -207,7 +213,6 @@ def cmd_ruin(args) -> int:
 
 
 def cmd_perpetuity(args) -> int:
-    from .lundberg import lundberg_report
     exp = load_experiment(args.config)
     block = exp.block("perpetuity")
     samples_flag = args.samples is not None
@@ -284,7 +289,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .validate import run_suite
     results = run_suite(args.suite, workers=args.workers)
     failed = [r for r in results if not r.passed]
     print(f"validate: {len(results) - len(failed)}/{len(results)} criteria "

@@ -150,12 +150,19 @@ def _version(val, path):
     return val
 
 
+def read_seed(val, path):
+    """A seed: an integer >= 0, as numpy's generators take."""
+    if _value(val, INT, path) < 0:
+        raise ConfigError("expected an integer >= 0", path)
+    return val
+
+
 def _block(spec):
     return lambda val, path: _fields(val, path, spec, optional=spec)
 
 
 _TOP = {
-    "version": _version, "seed": INT,
+    "version": _version, "seed": read_seed,
     "model": lambda val, path: _build(
         ModelConfig, _fields(val, path, _MODEL, optional=("regime",)), path),
     "ruin": _block({"u_grid": [NUM], "n_paths": INT, "max_steps": INT,

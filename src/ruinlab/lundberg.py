@@ -12,7 +12,9 @@ with phi_nu(0) = 1 and a negative slope at 0 under positive drift, so beta
 exists iff phi_nu(q_nu) > 1 at the transform endpoint q_nu (inf counts).
 One routine, ``_first_root``, finds beta below q_nu and the piecewise
 endpoint below: it brackets the root by doubling and halving from q = 1
-and finishes with Brent's method to full double precision.
+and finishes with Brent's method to full double precision (``_brentq``,
+scipy's brentq step for step, carried here so that the route needs numpy
+alone).
 
 Both phi_nu(q) and its endpoint value are one expectation over a gap law.
 Given a level a >= <u(q), Theta> on the support, the gap
@@ -32,7 +34,8 @@ gap law, summed by ``theta.countable_sum`` (an exact head and an
 Euler-Maclaurin tail).  Finite, polygon and product Theta give one other
 kind: atoms plus a density that is linear on spans, with rho read off the
 pieces at H = 0.  Its E g(H) is an exact sum over the atoms plus
-quadrature in log h on each span.  ``phi_nu_analytic`` and
+quadrature in log h on each span (``distributions.quad``), or a closed
+form on a span from H = 0 when g is a pole.  ``phi_nu_analytic`` and
 ``classify_endpoint`` take it by the same routine, ``_gap_mean``.
 
 Piecewise regimes redraw (mu, sigma) and the Wiener increment independently
@@ -55,9 +58,8 @@ from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .distributions import Distribution
+from .distributions import Distribution, pointwise, quad
 from .engine import StepKernel
 from .errors import DistributionError, HypothesisViolation
 from .model import ModelConfig, RegimeSpec, RngStreams, as_streams
@@ -306,28 +308,32 @@ def phi_nu_analytic(theta: ThetaLaw, tau_dist: Distribution, q: float) -> float:
     if pole and h_law.rho <= pole[0] + _DECAY_TOL:
         return math.inf
     g = _pole_fn(pole) if pole else lambda h: tau_dist.mgf(a - h)
-    return _gap_mean(h_law, g)
+    return _gap_mean(h_law, g, pole)
 
 
-def _quad(f: Callable[[float], float], a: float, b: float,
+def _quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
           spike: float = 0.0) -> float:
-    """The integral of f over [a, b].  Given a spike of f with width
-    ``spike`` at a, it runs in s = log(1 + (x - a)/spike), where the spike
-    is flat."""
+    """The integral of f (over arrays) on [a, b].  Given a spike of f with
+    width ``spike`` at a, it runs in s = log(1 + (x - a)/spike), where the
+    spike is flat."""
     if spike > 0.0:
-        return integrate.quad(
-            lambda s: f(a + spike * math.expm1(s)) * spike * math.exp(s),
-            0.0, math.log1p((b - a) / spike), limit=300)[0]
-    return integrate.quad(f, a, b, limit=300)[0]
+        return quad(
+            lambda s: f(a + spike * np.expm1(s)) * spike * np.exp(s),
+            0.0, math.log1p((b - a) / spike), 1.49e-8, 1.49e-8, 300)
+    return quad(f, a, b, 1.49e-8, 1.49e-8, 300)
 
 
 # -- the gap expectation E g(H) ------------------------------------------------------
 
-def _gap_mean(h_law: HLaw, g: Callable) -> float:
+def _gap_mean(h_law: HLaw, g: Callable,
+              pole: Optional[Tuple[float, float]] = None) -> float:
     """E g(H): ``countable_sum`` of a series' terms, or exact sums over the
     atoms plus ``_quad`` on each span, in log h from h0 + d0 (h0 the
     offset), where g may spike.  The offset stays apart from the span ends,
-    which keeps its digits when it is far above their widths."""
+    which keeps its digits when it is far above their widths.  Where g is
+    the pole (s h)^-k, a span from H = 0 to d1 with density f0 + slope h
+    has the closed form g(d1) d1 (f0/(1 - k) + slope d1/(2 - k)), finite
+    since rho > k."""
     if h_law.kind == "series":
         return math.fsum(countable_sum(
             lambda j: h_law.p_fn(j) * g(h_law.h_fn(j))))
@@ -337,6 +343,11 @@ def _gap_mean(h_law: HLaw, g: Callable) -> float:
         parts = (w * g(h0 + d)).tolist()
     for d0, d1, f0, f1 in h_law.spans:
         slope = (f1 - f0) / (d1 - d0)
+        if pole and h0 + d0 == 0.0:
+            k = pole[0]
+            flat = f0 / (1.0 - k) if f0 else 0.0
+            parts.append(g(d1) * d1 * (flat + slope * d1 / (2.0 - k)))
+            continue
         f = lambda x: g(h0 + x) * (f0 + slope * (x - d0))
         parts.append(_quad(f, d0, d1, spike=h0 + d0))
     return math.fsum(parts)
@@ -363,7 +374,8 @@ def classify_endpoint(geometry: TangentGeometry, tau_dist: Distribution,
     h_law = geometry.h_law
     if h_law.rho <= pole[0] + _DECAY_TOL:
         return EndpointVerdict("endpoint_infinite", math.inf)
-    return EndpointVerdict("endpoint_finite", _gap_mean(h_law, _pole_fn(pole)))
+    return EndpointVerdict("endpoint_finite",
+                           _gap_mean(h_law, _pole_fn(pole), pole))
 
 
 def _pole_fn(pole: Tuple[float, float]) -> Callable:
@@ -450,8 +462,7 @@ def phi_nu_piecewise(regime: RegimeSpec, tau_dist: Distribution,
         return p * v ** (p - 1.0) * m(r) * math.exp(-tilt * r) * cell_sum(r)
 
     return float(tau_dist.mgf(tilt)) * math.fsum(
-        integrate.quad(f, a ** (1.0 / p), b ** (1.0 / p), epsabs=0.0,
-                       epsrel=1e-13, limit=300)[0]
+        quad(pointwise(f), a ** (1.0 / p), b ** (1.0 / p), 0.0, 1e-13, 300)
         for a, b in zip(cuts, cuts[1:]))
 
 
@@ -479,7 +490,67 @@ def _first_root(f: Callable[[float], float],
         q = min(2.0 * q, cap)
     while f(q / 2.0) > 0.0:
         q /= 2.0
-    return optimize.brentq(f, q / 2.0, q, xtol=1e-300, rtol=1e-15)
+    return _brentq(f, q / 2.0, q)
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float = 1e-300, rtol: float = 1e-15,
+            maxiter: int = 100) -> float:
+    """A root of f in [xa, xb], where f changes sign, by Brent's method
+    (Brent 1973, ch. 4): scipy's ``brentq`` (its brentq.c) step for step,
+    so the two agree bit for bit.  Raises ValueError on a same-sign bracket
+    or a NaN value of f, and RuntimeError after ``maxiter`` steps."""
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    # signbit of the C code is v < 0 here: no value compared is 0 or NaN
+    xpre, xcur, xblk, fblk, spre, scur = xa, xb, 0.0, 0.0, 0.0, 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf                                # a bisection
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:                       # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                                  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass            # C divides to inf or NaN, which bisects
+        bound = 3.0 * abs(sbis) - delta
+        if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry                    # a short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} "
+                       "iterations")
 
 
 def lundberg_report(config: ModelConfig, tol: float = 1e-10,

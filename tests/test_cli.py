@@ -271,11 +271,22 @@ def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
     ({}, ["ruin", "--u", "5,abc"], "--u"),
     ({}, ["ruin", "--u", "nan,30"], "--u"),
     ({}, ["ruin", "--u", "inf"], "--u"),
+    # a seed is an integer >= 0 wherever it comes from; a leading NAME=value
+    # sets the environment, as in a shell
+    ({"seed": -1}, ["ruin"], "$.seed"),
+    ({}, ["ruin", "--seed", "-1"], "--seed"),
+    ({}, ["RUINLAB_SEED=abc", "ruin"], "RUINLAB_SEED"),
 ], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples",
         "max_steps", "barrier_multiple", "n_max", "nan_rate", "nan_premium",
         "paths_0", "samples_0", "bool_rate", "bool_seed", "u_text", "u_nan",
-        "u_inf"])
-def test_out_of_range_values_exit_2(tmp_path, capsys, extra, argv, field):
+        "u_inf", "seed_negative", "seed_flag_negative", "seed_env_text"])
+def test_out_of_range_values_exit_2(tmp_path, capsys, monkeypatch, extra,
+                                    argv, field):
+    monkeypatch.delenv("RUINLAB_SEED", raising=False)
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     cfg = write_cfg(tmp_path, dict(BETA2, **extra))
     assert main(argv + ["--config", cfg, "--workers", "1"]) == 2
     doc = json.loads(capsys.readouterr().out)
