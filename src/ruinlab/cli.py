@@ -9,7 +9,8 @@ violations exit nonzero with a machine-readable error JSON on stdout.
 The environment variable ``RUINLAB_SEED`` overrides the config seed; the
 ``--seed`` flag overrides both.  ``lundberg`` is deterministic and
 ``validate`` runs each acceptance criterion at its own fixed seed, so
-neither takes a seed.
+neither takes a seed.  Flags and ``RUINLAB_SEED`` are read through the
+schema's option specs, so a bad value exits 2 naming the flag (``--u[1]``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import perpetuity as perp
-from .config_schema import load_experiment, read_seed
+from .config_schema import (INT, NUM, PERPETUITY, RUIN, SEED, at_least,
+                            load_experiment, read)
 from .errors import ConfigError, HypothesisViolation, RuinlabError
 from .engine import REL_TOL, StepKernel
 from .lundberg import lundberg_report
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_FAILED = 1
+WORKERS = at_least(INT, 1)
 
 
 def _jsonable(obj):
@@ -79,40 +82,42 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _resolve_seed(args, exp) -> int:
-    """``--seed``, else ``RUINLAB_SEED``, else the config's seed, each read
-    by the schema's seed rule."""
-    if args.seed is not None:
-        return read_seed(args.seed, "--seed")
-    env = os.environ.get("RUINLAB_SEED")
-    if env is not None:
+def _scalar(text: str):
+    """``text`` as an int where integral (``1e6``), else a float or itself."""
+    try:
+        return int(text)
+    except ValueError:
         try:
-            env = int(env)
+            x = float(text)
         except ValueError:
-            pass                        # the rule rejects the string
-        return read_seed(env, "RUINLAB_SEED")
-    return exp.seed
+            return text
+    return int(x) if x.is_integer() else x
+
+
+def _add(p, name, spec, split=False, **kw):
+    """Add flag ``name``, read through ``spec`` with the flag as the path."""
+    def parse(text):
+        val = [_scalar(x) for x in text.split(",")] if split else _scalar(text)
+        return read(val, spec, name)
+    p.add_argument(name, type=parse, **kw)
+
+
+def _resolve_seed(args, exp) -> int:
+    """``--seed``, else ``RUINLAB_SEED``, else the config's seed."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("RUINLAB_SEED")
+    return exp.seed if env is None else read(_scalar(env), SEED,
+                                             "RUINLAB_SEED")
+
+
+def _override(block: dict, **flags) -> dict:
+    """``block`` with every flag given on the command line in its key."""
+    return {**block, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _out_base(args, exp) -> Optional[str]:
-    if args.out:
-        return args.out
-    if exp.output:
-        return exp.output["path"]
-    return None
-
-
-def _intish(s: str) -> int:
-    return int(float(s))
-
-
-def _floats(text: str) -> List[float]:
-    """The comma-separated numbers of ``text``, or [nan], which no range
-    admits, if an entry is not a number."""
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        return [math.nan]
+    return args.out or (exp.output or {}).get("path")
 
 
 def cmd_lundberg(args) -> int:
@@ -161,28 +166,12 @@ def _check_ruin_hypotheses(model):
 def cmd_ruin(args) -> int:
     exp = load_experiment(args.config)
     _check_ruin_hypotheses(exp.model)
-    block = exp.block("ruin")
-    grid = (_floats(args.u) if args.u
-            else [float(x) for x in block.get("u_grid", [10, 30, 100, 300])])
-    paths_flag = args.paths is not None
-    n_paths = args.paths if paths_flag else block.get("n_paths", 100_000)
-    if not all(0 <= u < math.inf for u in grid):
-        raise ConfigError("initial reserves must be finite numbers >= 0",
-                          "--u" if args.u else "$.ruin.u_grid")
-    if n_paths < 100:
-        raise ConfigError("need at least 100 paths",
-                          "--paths" if paths_flag else "$.ruin.n_paths")
-    max_steps = block.get("max_steps", 10_000)
-    barrier_multiple = block.get("barrier_multiple", 1_000.0)
-    if max_steps < 1:
-        raise ConfigError("need at least 1 step", "$.ruin.max_steps")
-    if barrier_multiple <= 0:
-        raise ConfigError("the barrier multiple must be > 0",
-                          "$.ruin.barrier_multiple")
+    opts = _override(exp.block("ruin"), u_grid=args.u, n_paths=args.paths)
+    grid = opts.pop("u_grid", [10, 30, 100, 300])
+    n_paths = opts.pop("n_paths", 100_000)
     seed = _resolve_seed(args, exp)
-    ests = estimate_psi_grid(grid, exp.model, n_paths, max_steps=max_steps,
-                             barrier_multiple=barrier_multiple, seed=seed,
-                             workers=args.workers)
+    ests = estimate_psi_grid(grid, exp.model, n_paths, seed=seed,
+                             workers=args.workers, **opts)
     base = _out_base(args, exp)
     rows = [[e.u, e.psi_hat, e.ci_halfwidth, e.censored_fraction,
              e.non_finite_fraction] for e in ests]
@@ -214,27 +203,18 @@ def cmd_ruin(args) -> int:
 
 def cmd_perpetuity(args) -> int:
     exp = load_experiment(args.config)
-    block = exp.block("perpetuity")
-    samples_flag = args.samples is not None
-    n = args.samples if samples_flag else block.get("samples", 100_000)
-    if n < 10_000:
-        raise ConfigError(
-            "need at least 10,000 samples for the KS check",
-            "--samples" if samples_flag else "$.perpetuity.samples")
-    n_max = block.get("n_max", perp.DEFAULT_N_MAX)
-    if n_max < 1:
-        raise ConfigError("need at least 1 term", "$.perpetuity.n_max")
+    opts = _override(exp.block("perpetuity"), samples=args.samples)
+    n = opts.pop("samples", 100_000)
     seed = _resolve_seed(args, exp)
-    cfg = exp.model
-    report = lundberg_report(cfg)
+    report = lundberg_report(exp.model)
     if report.beta is None:
         raise HypothesisViolation(
             "decay_exponent",
             "no decay exponent exists for this configuration; the "
             "perpetuity tail constant is undefined")
-    sampler = perp.model_pair_sampler(cfg)
+    sampler = perp.model_pair_sampler(exp.model)
     batch = perp.sample_R_values(sampler, n, seed=seed, workers=args.workers,
-                                 n_max=n_max)
+                                 **opts)
     vals = batch.converged_values()
     ks = perp.ks_fixed_point(vals[: max(10_000, min(len(vals), 200_000))],
                              sampler, seed + 1)
@@ -264,8 +244,6 @@ def _tail_slope(values: np.ndarray, n_points: int = 8) -> float:
 def cmd_simulate(args) -> int:
     """One kernel path, S <- exp(-nu) S + zeta, until ruin, barrier or cap."""
     exp = load_experiment(args.config)
-    if args.u < 0 or args.steps < 1 or args.barrier <= 1:
-        raise ConfigError("need --u >= 0, --steps >= 1 and --barrier > 1")
     kernel = StepKernel(exp.model)
     streams = RngStreams.from_seed(_resolve_seed(args, exp))
     barrier = barrier_level(args.u, exp.model, args.barrier)
@@ -308,10 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", default=None, help="output path base")
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            _add(p, "--seed", SEED)
         if workers:
-            p.add_argument("--workers", type=int,
-                           default=max(1, os.cpu_count() or 1))
+            _add(p, "--workers", WORKERS)
 
     p = sub.add_parser("lundberg", help="decay-exponent report")
     common(p, seed=False, workers=False)
@@ -319,38 +296,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ruin", help="Monte Carlo ruin probabilities")
     common(p)
-    p.add_argument("--u", default=None, help="comma-separated reserve grid")
-    p.add_argument("--paths", type=_intish, default=None)
-    p.add_argument("--beta", type=float, default=None,
-                   help="exponent for the ratio bounds check")
+    _add(p, "--u", RUIN["u_grid"], split=True,
+         help="comma-separated reserve grid")
+    _add(p, "--paths", RUIN["n_paths"])
+    _add(p, "--beta", NUM, help="exponent for the ratio bounds check")
     p.add_argument("--emit-plot-data", default=None, metavar="PATH")
     p.set_defaults(fn=cmd_ruin)
 
     p = sub.add_parser("perpetuity", help="perpetuity fixed point and tail")
     common(p)
-    p.add_argument("--samples", type=_intish, default=None)
+    _add(p, "--samples", PERPETUITY["samples"])
     p.set_defaults(fn=cmd_perpetuity)
 
     p = sub.add_parser(
         "simulate", help="dump one kernel path of the reserve at claim "
                          "times until ruin, the barrier or the step cap")
     common(p, out=False, workers=False)
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--barrier", type=float, default=1_000.0)
+    _add(p, "--u", at_least(NUM, 0), required=True)
+    _add(p, "--steps", at_least(INT, 1), default=100)
+    _add(p, "--barrier", at_least(NUM, 1, strict=True), default=1_000.0)
     p.add_argument("--dump", default=None, metavar="PATH")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("validate", help="run an acceptance suite")
     p.add_argument("--suite", choices=("quick", "full"), default="quick")
-    p.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
+    _add(p, "--workers", WORKERS)
     p.set_defaults(fn=cmd_validate)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         _dump_json({"error": "config", "field": exc.field, "message": str(exc)},

@@ -1,12 +1,16 @@
 """Experiment configuration parsing: strict JSON schema to model objects.
 
-``_value`` reads a value against a spec: ``NUM`` (a finite number, not a
-bool), ``INT``, ``STR``, a parser ``(val, path) -> value``, ``[spec]`` (a
-list of any length) or a tuple of specs (a list of that length).  A law's
-or coefficient law's ``kind`` and a regime's or premium's ``mode`` name a
-row ``(field spec, constructor)`` of a table.  Unknown keys are rejected,
-``version`` is mandatory, and every error names its path, list elements
-included (``$.model.claim.atoms[0][0]``).
+``read`` reads a value against a spec: ``NUM`` (a finite number, not a
+bool), ``INT``, ``STR``, a parser ``(val, path) -> value`` such as
+``at_least(spec, lo)``, ``[spec]`` (a list of any length) or a tuple of
+specs (a list of that length).  A law's or coefficient law's ``kind`` and a
+regime's or premium's ``mode`` name a row ``(field spec, constructor)`` of
+a table.  Unknown keys are rejected, ``version`` is mandatory, and every
+error names its path, list elements included (``$.model.claim.atoms[0][0]``).
+
+The option tables ``RUIN`` and ``PERPETUITY`` and the rule ``SEED`` state
+each option's bound once; the command line reads its flags and
+``RUINLAB_SEED`` through them too, with the flag as the path (``--u[1]``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from .errors import ConfigError, DistributionError
 from .model import ModelConfig, PremiumSpec, RegimeSpec
 from .theta import ThetaLaw, zeta_regime_law
 
-__all__ = ["parse_experiment", "load_experiment", "ExperimentConfig"]
+__all__ = ["parse_experiment", "load_experiment", "ExperimentConfig", "read",
+           "at_least", "NUM", "INT", "STR", "SEED", "RUIN", "PERPETUITY"]
 
 SCHEMA_VERSION = 1
 
@@ -40,14 +45,14 @@ class ExperimentConfig:
         return dict(self.blocks.get(name, {}))
 
 
-def _value(val, spec, path):
+def read(val, spec, path):
     """``val`` read against ``spec`` (see the module docstring)."""
     if isinstance(spec, (list, tuple)):
         exact = isinstance(spec, tuple)
         if not isinstance(val, list) or exact and len(val) != len(spec):
             raise ConfigError(f"expected a list of {len(spec)}" if exact
                               else "expected a list", path)
-        out = [_value(v, s, f"{path}[{i}]") for i, (v, s)
+        out = [read(v, s, f"{path}[{i}]") for i, (v, s)
                in enumerate(zip(val, spec if exact else spec * len(val)))]
         return tuple(out) if exact else out
     if callable(spec):
@@ -70,7 +75,7 @@ def _fields(obj, path, spec, optional=()):
     out = {}
     for key, field in spec.items():
         if key in obj:
-            out[key] = _value(obj[key], field, f"{path}.{key}")
+            out[key] = read(obj[key], field, f"{path}.{key}")
         elif key not in optional:
             raise ConfigError("missing required field", f"{path}.{key}")
     unknown = sorted(set(obj) - set(spec))
@@ -145,16 +150,35 @@ _MODEL = {
 
 
 def _version(val, path):
-    if _value(val, INT, path) != SCHEMA_VERSION:
+    if read(val, INT, path) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported version {val}", path)
     return val
 
 
-def read_seed(val, path):
-    """A seed: an integer >= 0, as numpy's generators take."""
-    if _value(val, INT, path) < 0:
-        raise ConfigError("expected an integer >= 0", path)
-    return val
+def at_least(spec, lo, strict=False):
+    """A parser for values of ``spec`` that are >= ``lo`` (> if strict)."""
+    def parse(val, path):
+        val = read(val, spec, path)
+        if val < lo or strict and val == lo:
+            raise ConfigError(f"expected {spec} {'>' if strict else '>='} "
+                              f"{lo}", path)
+        return val
+    return parse
+
+
+def _reserves(val, path):
+    """A reserve grid: numbers >= 0, each above the one before."""
+    grid = read(val, [at_least(NUM, 0)], path)
+    for i in range(1, len(grid)):
+        read(grid[i], at_least(NUM, grid[i - 1], strict=True), f"{path}[{i}]")
+    return grid
+
+
+SEED = at_least(INT, 0)                 # as numpy's generators take
+RUIN = {"u_grid": _reserves, "n_paths": at_least(INT, 100),
+        "max_steps": at_least(INT, 1),
+        "barrier_multiple": at_least(NUM, 0, strict=True)}
+PERPETUITY = {"samples": at_least(INT, 10_000), "n_max": at_least(INT, 1)}
 
 
 def _block(spec):
@@ -162,12 +186,10 @@ def _block(spec):
 
 
 _TOP = {
-    "version": _version, "seed": read_seed,
+    "version": _version, "seed": SEED,
     "model": lambda val, path: _build(
         ModelConfig, _fields(val, path, _MODEL, optional=("regime",)), path),
-    "ruin": _block({"u_grid": [NUM], "n_paths": INT, "max_steps": INT,
-                    "barrier_multiple": NUM}),
-    "perpetuity": _block({"samples": INT, "n_max": INT}),
+    "ruin": _block(RUIN), "perpetuity": _block(PERPETUITY),
     "output": lambda val, path: _fields(val, path, {"path": STR}),
 }
 

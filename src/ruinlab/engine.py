@@ -48,6 +48,7 @@ no bridge normals, and the growth integral tau (e^L + 1) / 2 with L = -nu.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Union
 
@@ -338,14 +339,16 @@ def _run_one_chunk(args):
     return fn(streams, size, **kwargs)
 
 
-def run_chunked(fn: Callable, total: int, seed: int, workers: int = 1,
+def run_chunked(fn: Callable, total: int, seed: int,
+                workers: Optional[int] = 1,
                 chunk_size: int = DEFAULT_CHUNK_SIZE, **kwargs) -> List:
     """Evaluate ``fn(streams, size, **kwargs)`` over deterministic chunks.
 
     Chunk i always receives the generator triple derived from
     (seed, chunk i); results come back in chunk order, so any merge done by
     the caller is reproducible bit-for-bit for a fixed (seed, chunk_size),
-    whatever ``workers`` is.
+    whatever ``workers`` is.  ``workers=None`` runs one process per chunk,
+    up to the core count.
     """
     sizes = []
     left = int(total)
@@ -354,6 +357,8 @@ def run_chunked(fn: Callable, total: int, seed: int, workers: int = 1,
         sizes.append(take)
         left -= take
     tasks = [(fn, int(seed), i, s, kwargs) for i, s in enumerate(sizes)]
+    if workers is None:
+        workers = min(os.cpu_count() or 1, len(tasks))
     if workers <= 1 or len(tasks) == 1:
         return [_run_one_chunk(t) for t in tasks]
     # imported here: multiprocessing costs every start-up that never pools

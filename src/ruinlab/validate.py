@@ -9,7 +9,6 @@ smoke-level subset (seconds); ``full`` runs everything at its stated scale.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -68,10 +67,6 @@ def classical_config(c: float = 2.0) -> ModelConfig:
         claim_dist=Distribution.exponential(1.0),
         interarrival_dist=Distribution.exponential(1.0),
         premium=PremiumSpec(c), regime=None)
-
-
-def _default_workers() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 def _timed(fn: Callable[[], CriterionResult]) -> CriterionResult:
@@ -137,7 +132,6 @@ def criterion_zeta_dichotomy(**_) -> CriterionResult:
 
 def criterion_classical_baseline(workers: Optional[int] = None,
                                  n_paths: int = 100_000, **_) -> CriterionResult:
-    workers = workers or _default_workers()
     cfg = classical_config(2.0)
     grid = [0.0, 1.0, 2.0, 4.0]
     ests = estimate_psi_grid(grid, cfg, n_paths, max_steps=10_000,
@@ -171,7 +165,6 @@ def criterion_power_tail(workers: Optional[int] = None,
     gives slope -1.921 and spread 1.12 (seed 42); inside the body, on
     u in {10, 30, 100, 300}, it gives slope -0.837 and spread 10.5.
     """
-    workers = workers or _default_workers()
     cfg = beta2_config()
     grid = [300.0, 600.0, 1200.0, 2400.0]
     ests = estimate_psi_grid(grid, cfg, n_paths, seed=42, workers=workers)
@@ -191,7 +184,6 @@ def criterion_power_tail(workers: Optional[int] = None,
 def criterion_fixed_point_sandwich(workers: Optional[int] = None,
                                    n_r: int = 100_000,
                                    n_psi: int = 200_000, **_) -> CriterionResult:
-    workers = workers or _default_workers()
     cfg = beta2_config()
     sampler = perp.model_pair_sampler(cfg)
     batch = perp.sample_R_values(sampler, n_r, seed=7, workers=workers)
@@ -244,7 +236,6 @@ def criterion_goldie(workers: Optional[int] = None,
     ``perpetuity`` docstring moves no sample above u = 1280, 2560 or 5120 in
     1.57e6 rows, and c_hat by -0.16 against a bar of 3.6.
     """
-    workers = workers or _default_workers()
     cfg = beta2_config()
     sampler = perp.model_pair_sampler(cfg)
     batch = perp.sample_R_values(sampler, n_samples, seed=21, workers=workers)
@@ -270,7 +261,6 @@ def criterion_goldie(workers: Optional[int] = None,
 
 def criterion_exact_invariances(workers: Optional[int] = None,
                                 n_paths: int = 20_000, **_) -> CriterionResult:
-    workers = workers or _default_workers()
     cfg = beta2_config()
     grid = [2.0, 10.0, 50.0]
     base = estimate_psi_grid(grid, cfg, n_paths, max_steps=2_000, seed=5,
@@ -320,7 +310,6 @@ def criterion_exact_invariances(workers: Optional[int] = None,
 def criterion_rw_diagnostic(workers: Optional[int] = None,
                             n_walks: int = 2_000_000,
                             n_psi: int = 200_000, **_) -> CriterionResult:
-    workers = workers or _default_workers()
     cfg = beta2_config()
     grid = [10.0, 30.0, 100.0, 300.0]
     diag = rw_max_diagnostic(cfg, grid, n_walks, seed=31, workers=workers)

@@ -241,9 +241,9 @@ def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
 
 @pytest.mark.parametrize("extra, argv, field", [
     ({}, ["ruin", "--paths", "50"], "--paths"),
-    ({}, ["ruin", "--u=5,-1"], "--u"),
+    ({}, ["ruin", "--u=5,-1"], "--u[1]"),
     ({"ruin": {"n_paths": 50}}, ["ruin"], "$.ruin.n_paths"),
-    ({"ruin": {"u_grid": [10, -1]}}, ["ruin"], "$.ruin.u_grid"),
+    ({"ruin": {"u_grid": [10, -1]}}, ["ruin"], "$.ruin.u_grid[1]"),
     ({}, ["perpetuity", "--samples", "5000"], "--samples"),
     ({"perpetuity": {"samples": 5000}}, ["perpetuity"],
      "$.perpetuity.samples"),
@@ -268,18 +268,34 @@ def test_ruin_without_investment_needs_a_lasting_premium(tmp_path, capsys,
      ["ruin"], "$.model.claim.rate"),
     ({"seed": False}, ["ruin"], "$.seed"),
     # every --u entry is a finite number, as every u_grid element is
-    ({}, ["ruin", "--u", "5,abc"], "--u"),
-    ({}, ["ruin", "--u", "nan,30"], "--u"),
-    ({}, ["ruin", "--u", "inf"], "--u"),
+    ({}, ["ruin", "--u", "5,abc"], "--u[1]"),
+    ({}, ["ruin", "--u", "nan,30"], "--u[0]"),
+    ({}, ["ruin", "--u", "inf"], "--u[0]"),
     # a seed is an integer >= 0 wherever it comes from; a leading NAME=value
     # sets the environment, as in a shell
     ({"seed": -1}, ["ruin"], "$.seed"),
     ({}, ["ruin", "--seed", "-1"], "--seed"),
     ({}, ["RUINLAB_SEED=abc", "ruin"], "RUINLAB_SEED"),
+    # a flag's text that is no value of its option exits 2 with error JSON,
+    # not argparse's usage text, and is never truncated to fit
+    ({}, ["ruin", "--paths", "abc"], "--paths"),
+    ({}, ["ruin", "--seed", "abc"], "--seed"),
+    ({}, ["ruin", "--workers", "0"], "--workers"),
+    ({}, ["ruin", "--paths", "150.5"], "--paths"),
+    # a reserve grid rises strictly, and an empty --u is no grid
+    ({}, ["ruin", "--u", "300,100"], "--u[1]"),
+    ({}, ["ruin", "--u", ""], "--u[0]"),
+    ({"ruin": {"u_grid": [30, 10]}}, ["ruin"], "$.ruin.u_grid[1]"),
+    ({}, ["simulate", "--u", "-1"], "--u"),
+    ({}, ["simulate", "--u", "5", "--steps", "0"], "--steps"),
+    ({}, ["simulate", "--u", "5", "--barrier", "1"], "--barrier"),
 ], ids=["paths", "u", "n_paths", "u_grid", "samples", "perpetuity_samples",
         "max_steps", "barrier_multiple", "n_max", "nan_rate", "nan_premium",
         "paths_0", "samples_0", "bool_rate", "bool_seed", "u_text", "u_nan",
-        "u_inf", "seed_negative", "seed_flag_negative", "seed_env_text"])
+        "u_inf", "seed_negative", "seed_flag_negative", "seed_env_text",
+        "paths_text", "seed_text", "workers_0", "paths_fraction",
+        "u_unordered", "u_empty", "u_grid_unordered", "simulate_u",
+        "simulate_steps", "simulate_barrier"])
 def test_out_of_range_values_exit_2(tmp_path, capsys, monkeypatch, extra,
                                     argv, field):
     monkeypatch.delenv("RUINLAB_SEED", raising=False)
@@ -288,10 +304,19 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, monkeypatch, extra,
         monkeypatch.setenv(name, value)
         argv = argv[1:]
     cfg = write_cfg(tmp_path, dict(BETA2, **extra))
-    assert main(argv + ["--config", cfg, "--workers", "1"]) == 2
+    assert main(argv + ["--config", cfg]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "config"
     assert doc["field"] == field
+
+
+def test_paths_flag_reads_exponent_form_over_config(tmp_path, capsys):
+    # "1e3" is integral, so it is the integer 1000, and the flag wins over
+    # a valid config n_paths
+    cfg = write_cfg(tmp_path, dict(BETA2, ruin={"n_paths": 5000}))
+    assert main(["ruin", "--config", cfg, "--u", "5", "--paths", "1e3",
+                 "--workers", "1"]) == 0
+    assert "1 levels x 1000 paths" in capsys.readouterr().err
 
 
 def test_error_json_keeps_strings_that_name_infinity(tmp_path, capsys):
@@ -400,12 +425,6 @@ def test_simulate_dump_columns(tmp_path, capsys, doc):
     row = lines[2].split(",")
     lam, nu = float(row[2]), float(row[4])
     assert lam == pytest.approx(math.exp(-nu), rel=1e-9)  # 12-digit CSV cells
-
-
-def test_simulate_rejects_negative_reserve(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BETA2)
-    assert main(["simulate", "--config", cfg, "--u", "-1"]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "config"
 
 
 def test_perpetuity_command(tmp_path, capsys):

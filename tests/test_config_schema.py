@@ -125,7 +125,8 @@ DOCS = st.fixed_dictionaries({
 }, optional={
     "seed": st.integers(0, 2 ** 32),
     "ruin": st.fixed_dictionaries({}, optional={
-        "u_grid": st.lists(st.floats(0.0, 1000.0), max_size=4),
+        "u_grid": st.lists(st.floats(0.0, 1000.0), max_size=4,
+                           unique=True).map(sorted),
         "n_paths": st.integers(100, 10 ** 6),
         "max_steps": st.integers(1, 10 ** 4),
         "barrier_multiple": st.floats(1.0, 1000.0)}),
